@@ -394,9 +394,23 @@ def erdos_renyi(n: int, p: float, seed: int) -> SimpleGraph:
 # Equitable refinement plus individualization backtracking.  The canonical
 # representative of an isomorphism class is the relabeling whose
 # upper-triangular adjacency bit string is lexicographically least among the
-# labelings the search explores; refinement guarantees the explored set
-# always meets every automorphism orbit, so the minimum is well defined on
-# isomorphism classes.
+# leaves of the search tree; refinement and individualization commute with
+# relabeling, so that minimum is well defined on isomorphism classes, and
+# the first leaf reaching it in depth-first order gives the canonical order.
+#
+# The search prunes automorphic branches (McKay & Piperno, "Practical graph
+# isomorphism, II", J. Symbolic Comput. 60, 2014).  A vertex individualized
+# at a node keeps that node's target position in every leaf below it, since
+# the cells before the target are singletons.  So two leaves with equal
+# codes give an automorphism that fixes their common individualization
+# prefix pointwise and maps the earlier branch below it onto the later one;
+# the search records it and backjumps to that prefix.  A child of a node is
+# skipped when the group generated by the recorded automorphisms that fix
+# the node's prefix pointwise maps an earlier child onto it.  Either way
+# the skipped subtree is the automorphic image of one that comes earlier in
+# depth-first order, so its leaves repeat earlier codes: the first leaf with
+# the least code is still visited, and the code and the order are those of
+# the full search.
 
 
 def _refine_partition(adj, cells: list[list[int]]) -> list[list[int]]:
@@ -438,39 +452,79 @@ def _canonical_order(adj, n: int) -> list[int]:
         return []
     best: list[int] = []
     best_code: int | None = None
+    best_path: list[int] = []
+    automorphisms: list[list[int]] = []
 
-    def recurse(cells):
-        nonlocal best, best_code
+    def leaf(order, path):
+        """Score a leaf; return the depth to backjump to, or None."""
+        nonlocal best, best_code, best_path
+        code = _code_from_order(adj, order)
+        if best_code is None or code < best_code:
+            best_code, best, best_path = code, order, path
+            return None
+        if code > best_code:
+            return None
+        gamma = [0] * n
+        for old, new in zip(best, order):
+            gamma[old] = new
+        automorphisms.append(gamma)
+        depth = 0
+        while best_path[depth] == path[depth]:
+            depth += 1
+        return depth
+
+    def recurse(cells, path):
         target = None
         for idx, cell in enumerate(cells):
             if len(cell) > 1:
                 target = idx
                 break
         if target is None:
-            order = [cell[0] for cell in cells]
-            code = _code_from_order(adj, order)
-            if best_code is None or code < best_code:
-                best_code = code
-                best = order
-            return
+            return leaf([cell[0] for cell in cells], path)
         cell = cells[target]
         # If the remaining vertices are mutually indistinguishable (all the
         # same rows outside, and complete or empty among themselves), any
         # order gives the same code.
         if target == len(cells) - 1 and _cell_is_homogeneous(adj, cell):
-            order = [c[0] for c in cells[:target]] + sorted(cell)
-            code = _code_from_order(adj, order)
-            if best_code is None or code < best_code:
-                best_code = code
-                best = order
-            return
-        for v in cell:
+            return leaf([c[0] for c in cells[:target]] + sorted(cell), path)
+        depth = len(path)
+        orbit = None
+        known = 0
+        for i, v in enumerate(cell):
+            if i and known < len(automorphisms):
+                known = len(automorphisms)
+                orbit = _orbit_labels(n, [
+                    g for g in automorphisms if all(g[u] == u for u in path)
+                ])
+            if orbit is not None and orbit[v] in {orbit[u] for u in cell[:i]}:
+                continue
             rest = [w for w in cell if w != v]
             split = cells[:target] + [[v], rest] + cells[target + 1:]
-            recurse(_refine_partition(adj, split))
+            jump = recurse(_refine_partition(adj, split), path + [v])
+            if jump is not None and jump < depth:
+                return jump
+        return None
 
-    recurse(_refine_partition(adj, [sorted(range(n))]))
+    recurse(_refine_partition(adj, [sorted(range(n))]), [])
     return best
+
+
+def _orbit_labels(n: int, generators: list[list[int]]) -> list[int]:
+    """The least vertex of each vertex's orbit under the generated group."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for g in generators:
+        for x in range(n):
+            a, b = find(x), find(g[x])
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    return [find(x) for x in range(n)]
 
 
 def _cell_is_homogeneous(adj, cell) -> bool:
@@ -534,16 +588,25 @@ def _expand_parents(args) -> set[str]:
 def enumerate_codes(n: int, jobs: int = 1) -> list[str]:
     """Sorted canonical codes of all isomorphism classes on exactly n vertices.
 
-    Same augment-and-deduplicate strategy as :func:`enumerate_nonisomorphic`,
-    with the per-level child expansion optionally spread over worker
-    processes; the result is independent of the worker count.
+    The last level of :func:`enumerate_levels`; the result is independent of
+    the worker count.
+    """
+    return enumerate_levels(n, jobs)[n] if n >= 0 else []
+
+
+def enumerate_levels(n: int, jobs: int = 1) -> list[list[str]]:
+    """Sorted canonical codes of every order up to n, built in one pass.
+
+    ``levels[k]`` holds the classes on exactly k vertices.  Each level comes
+    from the one before it by the augment-and-deduplicate strategy of
+    :func:`enumerate_nonisomorphic`, with the child expansion optionally
+    spread over worker processes.
     """
     if n > MAX_ENUMERATE_N:
         raise GraphError(f"enumeration supports n <= {MAX_ENUMERATE_N}, got {n}")
-    if n <= 0:
-        return [graph6_encode(SimpleGraph(0))] if n == 0 else []
-    level = [graph6_encode(SimpleGraph(1))]
+    levels = [[graph6_encode(SimpleGraph(0))], [graph6_encode(SimpleGraph(1))]]
     for k in range(2, n + 1):
+        level = levels[-1]
         if jobs > 1 and len(level) >= 64:
             from multiprocessing import Pool
 
@@ -557,8 +620,8 @@ def enumerate_codes(n: int, jobs: int = 1) -> list[str]:
                     merged |= part
         else:
             merged = _expand_parents((level, k))
-        level = sorted(merged)
-    return level
+        levels.append(sorted(merged))
+    return levels[:max(n + 1, 0)]
 
 
 def enumerate_by_dedup(n: int) -> list[SimpleGraph]:

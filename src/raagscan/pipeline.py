@@ -34,7 +34,7 @@ from .graphs import (
     SimpleGraph,
     canonical_form,
     connected_components,
-    enumerate_nonisomorphic,
+    enumerate_levels,
     erdos_renyi,
     graph6_decode,
     graph6_encode,
@@ -359,9 +359,7 @@ def scan_enumerated(
     jobs: int = 1,
 ) -> SearchResult:
     """Scan every isomorphism class with 1..max_n vertices."""
-    codes = []
-    for n in range(1, max_n + 1):
-        codes.extend(graph6_encode(g) for g in enumerate_nonisomorphic(n))
+    codes = [code for level in enumerate_levels(max_n, jobs)[1:] for code in level]
     return _scan_codes(codes, obstructions, jobs)
 
 

@@ -1,8 +1,11 @@
+import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
+from oracles import canonical_order_exhaustive
 from raagscan.graphs import (
     GraphError,
     SimpleGraph,
@@ -15,6 +18,8 @@ from raagscan.graphs import (
     disjoint_union,
     empty_graph,
     enumerate_by_dedup,
+    enumerate_codes,
+    enumerate_levels,
     enumerate_nonisomorphic,
     erdos_renyi,
     graph6_decode,
@@ -28,6 +33,7 @@ from raagscan.graphs import (
     star,
     suspension,
 )
+from raagscan.graphs import _canonical_order
 
 
 def relabel(graph, perm):
@@ -291,8 +297,91 @@ class TestCanonicalForm:
                 assert canonical_form(relabel(g, perm)) == base
 
 
+def disjoint_copies(graph, count):
+    out = SimpleGraph(0)
+    for _ in range(count):
+        out = disjoint_union(out, graph)
+    return out
+
+
+PETERSEN = SimpleGraph(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)],
+)
+
+# Symmetric graphs up to the 24-vertex limit; the larger ones do not finish
+# without automorphism pruning.
+SYMMETRIC_CASES = {
+    **{f"{k}xK3": disjoint_copies(complete_graph(3), k) for k in range(1, 9)},
+    "4xC5": disjoint_copies(cycle_graph(5), 4),
+    "K12,12": join(empty_graph(12), empty_graph(12)),
+    "K8,8": join(empty_graph(8), empty_graph(8)),
+    "C24": cycle_graph(24),
+    "Petersen": PETERSEN,
+    "K2+22K1": disjoint_union(complete_graph(2), empty_graph(22)),
+}
+
+
+class TestCanonicalPruning:
+    def assert_same_order(self, graph):
+        assert _canonical_order(graph.adj, graph.n) == canonical_order_exhaustive(
+            graph.adj, graph.n
+        )
+
+    def test_matches_exhaustive_search_on_small_classes(self):
+        for n in range(1, 7):
+            for g in enumerate_nonisomorphic(n):
+                for seed in (0, 1):
+                    perm = list(range(n))
+                    random.Random(seed * 100 + n).shuffle(perm)
+                    self.assert_same_order(relabel(g, perm))
+
+    def test_matches_exhaustive_search_on_random_graphs(self):
+        rng = random.Random(2014)
+        for _ in range(300):
+            n = rng.randint(8, 10)
+            p = rng.uniform(0.2, 0.8)
+            self.assert_same_order(erdos_renyi(n, p, rng.getrandbits(64)))
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC_CASES))
+    def test_symmetric_graph_is_fast_and_invariant(self, name):
+        g = SYMMETRIC_CASES[name]
+        perm = list(range(g.n))
+        random.Random(name).shuffle(perm)
+        codes = []
+        for graph in (g, relabel(g, perm)):
+            started = time.perf_counter()
+            codes.append(canonical_form(graph))
+            assert time.perf_counter() - started < 1.0
+        assert codes[0] == codes[1]
+
+
 class TestEnumeration:
     KNOWN = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+    # sha256 of the newline-joined enumerate_codes(k), as computed with the
+    # exhaustive canonical search of tests/oracles.py.
+    GOLDEN = {
+        1: "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
+        2: "66f7cc5c004391e37949da741ea5ce5831ff34dd3c3a4e2bea3ccd225d7b2fb1",
+        3: "f78b1e961185bb637907c0c3de52876ceb3eb2fee4073e88b23fc8308cee8ad4",
+        4: "dab260d3a982994a03c9f8dd70c9abd8e47ba43abb270c1a9b8f982fb67c451e",
+        5: "6d6f843705782883a8ce87faa164796dcdcbc3f2d033fe2e34a8d782c2c6b82a",
+        6: "f523cfda15e9d535ce349a3d80bef200e2f85e497064153b7efef1dfd7616d44",
+        7: "d16cb100e88e2559837f2637813bf19f1e58dce202c8f4b5ae408eef2eb79f9b",
+    }
+
+    def test_golden_codes(self):
+        for k, digest in self.GOLDEN.items():
+            joined = "\n".join(enumerate_codes(k))
+            assert hashlib.sha256(joined.encode()).hexdigest() == digest
+
+    def test_levels_match_per_order_codes(self):
+        levels = enumerate_levels(6)
+        assert levels == [enumerate_codes(k) for k in range(7)]
+        assert enumerate_levels(0) == [enumerate_codes(0)]
+        assert enumerate_levels(-1) == []
 
     def test_known_counts(self):
         for n, expected in self.KNOWN.items():

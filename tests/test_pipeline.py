@@ -14,9 +14,11 @@ from raagscan.graphs import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    empty_graph,
     format_edge_list,
     graph6_decode,
     graph6_encode,
+    join,
 )
 from raagscan.pipeline import (
     OBSTRUCTION_DISCONNECTED,
@@ -47,6 +49,13 @@ class TestRunPipeline:
         assert report.stage_reached == STAGE_TRANSVECTION
         assert report.witnesses["domination_pair"] == [0, 1]
         assert report.theta_code is None
+
+    def test_complete_bipartite_k12_12_stops_at_transvection_gate(self):
+        # |Aut(K_{12,12})| = 2 * 12!^2: canonical labeling finishes only
+        # because it prunes automorphic branches
+        report = run_pipeline(join(empty_graph(12), empty_graph(12)))
+        assert report.stage_reached == STAGE_TRANSVECTION
+        assert report.n == 24 and report.edge_count == 144
 
     def test_three_pentagons_stop_at_forest_gate(self):
         # transvection-free, but each support graph off a pentagon vertex
