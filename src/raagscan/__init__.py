@@ -29,7 +29,6 @@ from .complexes import (
     flag_complex,
     link_of_simplex,
     maximal_cliques,
-    purity_and_dimension,
 )
 from .homology import (
     HomologyProfile,
@@ -57,7 +56,6 @@ from .pso import (
     all_supports_forests,
     outer_generators,
     partial_conjugation_catalog,
-    pso_is_raag,
     support_graph,
     theta_graph,
 )

@@ -25,7 +25,7 @@ from .homology import reduced_homology
 from .pipeline import (
     DEFAULT_OBSTRUCTIONS,
     OBSTRUCTION_DISCONNECTED,
-    OBSTRUCTION_NONPURE,
+    OBSTRUCTION_NON_PURE,
     SearchConfig,
     run_pipeline,
     scan_corpus_file,
@@ -57,7 +57,7 @@ def _load_graph(path: str, fmt: str) -> SimpleGraph:
 
 def _parse_obstructions(spec: str) -> frozenset[str]:
     names = {
-        "nonpure": OBSTRUCTION_NONPURE,
+        "nonpure": OBSTRUCTION_NON_PURE,
         "disconnected": OBSTRUCTION_DISCONNECTED,
     }
     chosen = set()

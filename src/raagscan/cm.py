@@ -14,12 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .complexes import (
-    SimplicialComplex,
-    complex_component_count,
-    flag_complex,
-    link_of_simplex,
-)
+from .complexes import SimplicialComplex, flag_complex, link_of_simplex
 from .graphs import SimpleGraph
 from .homology import (
     HomologyProfile,
@@ -28,13 +23,10 @@ from .homology import (
 )
 
 MODE_FULL = "full"
-MODE_PURITY_ONLY = "purity_only"
-MODE_PURITY_AND_CONNECTIVITY = "purity_and_connectivity"
 
 OBSTRUCTION_NON_PURE = "NonPure"
 OBSTRUCTION_GLOBAL_HOMOLOGY = "GlobalHomology"
 OBSTRUCTION_LINK_HOMOLOGY = "LinkHomology"
-OBSTRUCTION_DISCONNECTED = "DisconnectedPositiveDim"
 
 
 @dataclass(frozen=True)
@@ -71,16 +63,16 @@ def _non_pure_witness(complex_: SimplicialComplex) -> tuple[int, ...]:
 def is_cohen_macaulay(
     complex_: SimplicialComplex, mode: str = MODE_FULL
 ) -> CmVerdict:
-    """Decide Cohen-Macaulayness, or run one of the cheaper partial checks.
+    """Decide Cohen-Macaulayness, with a witness when the answer is no.
 
     Checks run cheapest first: purity, then global homology, then the links
     of all nonempty non-maximal faces, short-circuiting with a witness at
-    the first failure.  ``purity_only`` stops after the first check;
-    ``purity_and_connectivity`` additionally rejects disconnected complexes
-    of dimension at least one.  The empty complex counts as Cohen-Macaulay
-    of dimension -1.
+    the first failure.  The empty complex counts as Cohen-Macaulay of
+    dimension -1.  ``mode`` must be ``MODE_FULL``, the only mode; the
+    search pipeline runs its cheap obstructions (non-purity, and
+    disconnectedness in positive dimension) itself, before calling this.
     """
-    if mode not in (MODE_FULL, MODE_PURITY_ONLY, MODE_PURITY_AND_CONNECTIVITY):
+    if mode != MODE_FULL:
         raise ValueError(f"unknown mode {mode!r}")
     dim = complex_.dimension()
     if dim == -1:
@@ -90,12 +82,6 @@ def is_cohen_macaulay(
             False, dim, OBSTRUCTION_NON_PURE,
             witness_simplex=_non_pure_witness(complex_),
         )
-    if mode == MODE_PURITY_ONLY:
-        return CmVerdict(True, dim)
-    if mode == MODE_PURITY_AND_CONNECTIVITY:
-        if dim >= 1 and complex_component_count(complex_) > 1:
-            return CmVerdict(False, dim, OBSTRUCTION_DISCONNECTED)
-        return CmVerdict(True, dim)
 
     profile = reduced_homology(complex_)
     if not concentrated_free_in_degree(profile, dim):

@@ -194,10 +194,6 @@ def flag_complex(graph: SimpleGraph) -> SimplicialComplex:
     return SimplicialComplex(graph.n, maximal_cliques(graph))
 
 
-def purity_and_dimension(complex_: SimplicialComplex) -> tuple[int, bool]:
-    return complex_.dimension(), complex_.is_pure()
-
-
 def link_of_simplex(
     complex_: SimplicialComplex, simplex: Iterable[int]
 ) -> tuple[SimplicialComplex, tuple[int, ...]]:
@@ -232,21 +228,3 @@ def one_skeleton(complex_: SimplicialComplex) -> SimpleGraph:
     except GraphError as exc:  # pragma: no cover - guarded by construction
         raise ComplexError(str(exc))
 
-
-def complex_component_count(complex_: SimplicialComplex) -> int:
-    """Number of connected components spanned by the facets."""
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for facet in complex_.facets:
-        for v in facet:
-            parent.setdefault(v, v)
-        root = find(facet[0])
-        for v in facet[1:]:
-            parent[find(v)] = root
-    return len({find(v) for v in parent})

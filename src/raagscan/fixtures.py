@@ -161,7 +161,8 @@ def verify_fixtures(directory: Optional[str] = None) -> FixtureReport:
         f"{theta_comb.theta == theta_word.theta}",
     ))
 
-    # Group 5: the two 9-vertex examples.
+    # Group 5: the two 9-vertex examples, with theta cross-checked by the
+    # word oracle.
     expected_edges = (15, 17)
     for index, (gamma, theta_fixture) in enumerate(zip(f3_gamma, f3_theta)):
         label = f"nine_vertex_gamma{index + 1}"
@@ -190,6 +191,8 @@ def verify_fixtures(directory: Optional[str] = None) -> FixtureReport:
             theta = theta_graph(gamma, BACKEND_COMBINATORIAL)
             if canonical_form(theta.theta) != canonical_form(theta_fixture):
                 problems.append("computed theta not isomorphic to transcription")
+            if theta_graph(gamma, BACKEND_WORD_ORACLE).theta != theta.theta:
+                problems.append("word-oracle theta differs from combinatorial theta")
             theta_complex = flag_complex(theta.theta)
             if theta_complex.is_pure():
                 problems.append("theta flag complex unexpectedly pure")

@@ -8,7 +8,9 @@ they can be shared freely between worker processes.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from functools import partial
+from multiprocessing import Pool
+from typing import Callable, Iterable, Iterator, Sequence
 
 MAX_CANONICAL_N = 24
 MAX_ENUMERATE_N = 9
@@ -314,6 +316,16 @@ def _component_masks(adj, universe: int) -> list[int]:
     return out
 
 
+def _star_mask(graph: SimpleGraph, v: int) -> int:
+    return graph.adj[v] | (1 << v)
+
+
+def _complement_component_masks(graph: SimpleGraph, v: int) -> list[int]:
+    """Connected components of the graph minus the closed star of v."""
+    universe = (1 << graph.n) - 1 & ~_star_mask(graph, v)
+    return _component_masks(graph.adj, universe)
+
+
 def is_connected(graph: SimpleGraph) -> bool:
     return graph.n == 0 or len(connected_components(graph)) == 1
 
@@ -573,8 +585,7 @@ def enumerate_nonisomorphic(n: int) -> Iterator[SimpleGraph]:
         yield graph6_decode(code)
 
 
-def _expand_parents(args) -> set[str]:
-    parent_codes, k = args
+def _expand_parents(k: int, parent_codes: Sequence[str]) -> set[str]:
     out = set()
     for code in parent_codes:
         parent = graph6_decode(code)
@@ -607,30 +618,31 @@ def enumerate_levels(n: int, jobs: int = 1) -> list[list[str]]:
     levels = [[graph6_encode(SimpleGraph(0))], [graph6_encode(SimpleGraph(1))]]
     for k in range(2, n + 1):
         level = levels[-1]
-        if jobs > 1 and len(level) >= 64:
-            from multiprocessing import Pool
-
-            chunk = max(1, len(level) // (jobs * 8))
-            tasks = [
-                (level[i:i + chunk], k) for i in range(0, len(level), chunk)
-            ]
-            merged: set[str] = set()
-            with Pool(jobs) as pool:
-                for part in pool.imap_unordered(_expand_parents, tasks):
-                    merged |= part
-        else:
-            merged = _expand_parents((level, k))
+        merged: set[str] = set()
+        for part in parallel_map(
+            partial(_expand_parents, k), level, jobs if len(level) >= 64 else 1
+        ):
+            merged |= part
         levels.append(sorted(merged))
     return levels[:max(n + 1, 0)]
 
 
-def enumerate_by_dedup(n: int) -> list[SimpleGraph]:
-    """Brute-force witness: canonicalize all 2^C(n,2) labeled graphs (n <= 6)."""
-    if n > 6:
-        raise GraphError("brute-force enumeration is limited to n <= 6")
-    pairs = list(itertools.combinations(range(n), 2))
-    seen = set()
-    for picks in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if picks >> i & 1]
-        seen.add(canonical_form(SimpleGraph(n, edges)))
-    return [graph6_decode(code) for code in sorted(seen)]
+# -- parallel map -------------------------------------------------------------
+
+
+def parallel_map(fn: Callable, items: Sequence, jobs: int) -> Iterator:
+    """Apply ``fn`` to consecutive slices of ``items``; yield results in order.
+
+    With one job the whole sequence is a single slice, evaluated in this
+    process.  Otherwise a pool of ``jobs`` worker processes evaluates slices
+    of about ``len(items) / (8 * jobs)`` items (at most 2048), so ``fn``
+    must be picklable; results still come back in slice order, so the
+    output never depends on the worker count.
+    """
+    if jobs == 1:
+        yield fn(items)
+        return
+    chunk = max(1, min(2048, len(items) // (8 * jobs)))
+    slices = [items[start:start + chunk] for start in range(0, len(items), chunk)]
+    with Pool(jobs) as pool:
+        yield from pool.imap(fn, slices)

@@ -8,7 +8,6 @@ this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .complexes import ComplexError, SimplicialComplex
 
@@ -70,33 +69,6 @@ def determinant(m: IntegerMatrix) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def rational_rank(m: IntegerMatrix) -> int:
-    """Rank over Q by exact Gaussian elimination on Fractions.
-
-    Kept independent of the Smith reduction so the two can cross-check
-    each other.
-    """
-    if not m or not m[0]:
-        return 0
-    rows = [[Fraction(x) for x in row] for row in m]
-    rank = 0
-    cols = len(m[0])
-    for col in range(cols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                factor = rows[i][col] / lead
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
 
 
 @dataclass(frozen=True)

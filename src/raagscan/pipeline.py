@@ -21,13 +21,10 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from multiprocessing import Pool
+from functools import partial
 from typing import Iterable, Optional
 
-from .cm import (
-    MODE_FULL,
-    is_cohen_macaulay,
-)
+from .cm import MODE_FULL, OBSTRUCTION_NON_PURE, is_cohen_macaulay
 from .complexes import flag_complex
 from .graphs import (
     GraphError,
@@ -37,11 +34,11 @@ from .graphs import (
     enumerate_levels,
     erdos_renyi,
     graph6_decode,
-    graph6_encode,
     mix_seed,
+    parallel_map,
     splitmix64,
 )
-from .pso import BACKEND_COMBINATORIAL, all_supports_forests, theta_graph
+from .pso import all_supports_forests, commutation_graph, outer_generators
 from .raag_props import is_transvection_free
 
 SCHEMA_VERSION = 1
@@ -52,10 +49,9 @@ STAGE_THETA = "ThetaBuilt"
 STAGE_OBSTRUCTION = "ObstructionFound"
 STAGE_CLEAN = "CleanPass"
 
-OBSTRUCTION_NONPURE = "NonPure"
 OBSTRUCTION_DISCONNECTED = "DisconnectedPositiveDim"
-DEFAULT_OBSTRUCTIONS = frozenset({OBSTRUCTION_NONPURE})
-ALL_OBSTRUCTIONS = frozenset({OBSTRUCTION_NONPURE, OBSTRUCTION_DISCONNECTED})
+DEFAULT_OBSTRUCTIONS = frozenset({OBSTRUCTION_NON_PURE})
+ALL_OBSTRUCTIONS = frozenset({OBSTRUCTION_NON_PURE, OBSTRUCTION_DISCONNECTED})
 
 _STAGE_ORDER = [
     STAGE_TRANSVECTION,
@@ -136,31 +132,28 @@ def run_pipeline(
         report.witnesses["support_cycle"] = {"vertex": vertex, "cycle": cycle}
         return report
 
+    # The forest gate has passed, so theta exists; build it directly rather
+    # than through theta_graph, which would run the gate again.
     started = time.perf_counter()
-    theta = theta_graph(graph, BACKEND_COMBINATORIAL)
+    generators = outer_generators(graph)
+    theta = commutation_graph(graph, generators)
     report.timing["theta"] = time.perf_counter() - started
     report.stage_reached = STAGE_THETA
-    report.theta_code = canonical_form(theta.theta)
-    report.witnesses["theta_generators"] = [
-        pc.to_json() for pc in theta.generator_labels
-    ]
+    report.theta_code = canonical_form(theta)
+    report.witnesses["theta_generators"] = [pc.to_json() for pc in generators]
 
     started = time.perf_counter()
-    complex_ = flag_complex(theta.theta)
+    complex_ = flag_complex(theta)
     found = None
-    if OBSTRUCTION_NONPURE in obstructions and not complex_.is_pure():
+    if OBSTRUCTION_NON_PURE in obstructions and not complex_.is_pure():
         sizes = sorted({len(f) for f in complex_.facets})
-        found = OBSTRUCTION_NONPURE
+        found = OBSTRUCTION_NON_PURE
         report.witnesses["facet_sizes"] = sizes
-    elif (
-        OBSTRUCTION_DISCONNECTED in obstructions
-        and complex_.dimension() >= 1
-        and len(connected_components(theta.theta)) > 1
-    ):
-        found = OBSTRUCTION_DISCONNECTED
-        report.witnesses["theta_components"] = len(
-            connected_components(theta.theta)
-        )
+    elif OBSTRUCTION_DISCONNECTED in obstructions and complex_.dimension() >= 1:
+        components = len(connected_components(theta))
+        if components > 1:
+            found = OBSTRUCTION_DISCONNECTED
+            report.witnesses["theta_components"] = components
     report.timing["obstruction_check"] = time.perf_counter() - started
 
     if found is not None:
@@ -216,10 +209,9 @@ def sample_graph(config: SearchConfig, index: int) -> SimpleGraph:
     return erdos_renyi(config.n, p, sample_seed)
 
 
-def _search_chunk(args) -> list[ScanReport]:
-    config, start, stop = args
+def _search_chunk(config: SearchConfig, indices: range) -> list[ScanReport]:
     out = []
-    for index in range(start, stop):
+    for index in indices:
         graph = sample_graph(config, index)
         report = run_pipeline(graph, config.obstruction_set)
         report.seed_info = (config.master_seed, index)
@@ -274,19 +266,10 @@ def search_random(config: SearchConfig) -> SearchResult:
     byte-identical serialized streams for any worker count.
     """
     config.validate()
-    chunk = max(1, min(2048, config.sample_count // (config.jobs * 4) or 1))
-    tasks = [
-        (config, start, min(start + chunk, config.sample_count))
-        for start in range(0, config.sample_count, chunk)
-    ]
-    reports: list[ScanReport] = []
-    if config.jobs == 1:
-        for task in tasks:
-            reports.extend(_search_chunk(task))
-    else:
-        with Pool(config.jobs) as pool:
-            for chunk_reports in pool.imap(_search_chunk, tasks):
-                reports.extend(chunk_reports)
+    parts = parallel_map(
+        partial(_search_chunk, config), range(config.sample_count), config.jobs
+    )
+    reports = [report for part in parts for report in part]
     return SearchResult(reports, _summarize(reports))
 
 
@@ -299,35 +282,13 @@ class CorpusIssue:
     message: str
 
 
-def _scan_chunk(args) -> list[ScanReport]:
-    codes, obstructions = args
+def _scan_chunk(obstructions: frozenset[str], codes: list[str]) -> list[ScanReport]:
     return [run_pipeline(graph6_decode(code), obstructions) for code in codes]
 
 
-def scan_graphs(
-    graphs: Iterable[SimpleGraph],
-    obstructions: frozenset[str] = DEFAULT_OBSTRUCTIONS,
-    jobs: int = 1,
-) -> SearchResult:
-    """Scan an explicit stream of graphs."""
-    codes = [graph6_encode(g) for g in graphs]
-    return _scan_codes(codes, obstructions, jobs)
-
-
 def _scan_codes(codes, obstructions, jobs) -> SearchResult:
-    chunk = max(1, min(4096, len(codes) // (jobs * 4) or 1))
-    tasks = [
-        (codes[start:start + chunk], obstructions)
-        for start in range(0, len(codes), chunk)
-    ]
-    reports: list[ScanReport] = []
-    if jobs == 1:
-        for task in tasks:
-            reports.extend(_scan_chunk(task))
-    else:
-        with Pool(jobs) as pool:
-            for chunk_reports in pool.imap(_scan_chunk, tasks):
-                reports.extend(chunk_reports)
+    parts = parallel_map(partial(_scan_chunk, obstructions), codes, jobs)
+    reports = [report for part in parts for report in part]
     return SearchResult(reports, _summarize(reports))
 
 

@@ -36,8 +36,9 @@ from .graphs import (
     GraphError,
     SimpleGraph,
     _bits_to_set,
-    _component_masks,
+    _complement_component_masks,
     _set_to_bits,
+    _star_mask,
 )
 from .words import (
     Automorphism,
@@ -71,15 +72,6 @@ class PartialConjugation:
         return partial_conjugation_automorphism(
             graph, self.actor, self.component, sign
         )
-
-
-def _star_mask(graph: SimpleGraph, v: int) -> int:
-    return graph.adj[v] | (1 << v)
-
-
-def _complement_component_masks(graph: SimpleGraph, v: int) -> list[int]:
-    universe = (1 << graph.n) - 1 & ~_star_mask(graph, v)
-    return _component_masks(graph.adj, universe)
 
 
 def partial_conjugation_catalog(graph: SimpleGraph) -> list[PartialConjugation]:
@@ -215,12 +207,6 @@ def all_supports_forests(
         if cycle is not None:
             return False, (a, cycle)
     return True, None
-
-
-def pso_is_raag(graph: SimpleGraph) -> tuple[bool, tuple[int, list[int]] | None]:
-    """The pure symmetric outer automorphism group is a RAAG exactly when
-    every support graph is a forest; same verdict, report framing."""
-    return all_supports_forests(graph)
 
 
 # -- the commutation graph ----------------------------------------------------

@@ -22,6 +22,7 @@ from .cm import DualityVerdict, raag_duality_verdict
 from .graphs import (
     GraphError,
     SimpleGraph,
+    _complement_component_masks,
     connected_components,
     induced_subgraph,
     is_connected,
@@ -55,9 +56,8 @@ def _dominates(graph: SimpleGraph, u: int, v: int) -> bool:
 
 def star_separates(graph: SimpleGraph, u: int) -> bool:
     """True when the graph minus the closed star of u has >= 2 components."""
-    outside = [w for w in graph.vertices() if w != u and not graph.has_edge(u, w)]
-    rest, _ = induced_subgraph(graph, outside)
-    return len(connected_components(rest)) > 1
+    graph._check_vertex(u)
+    return len(_complement_component_masks(graph, u)) > 1
 
 
 def out_is_finite(graph: SimpleGraph) -> OutFinitenessReport:

@@ -253,23 +253,6 @@ def parabolic_double_coset_member(
     return Word(graph, alpha), Word(graph, list(reversed(beta)))
 
 
-def double_coset_member_by_orbit(
-    word: Word, left_vertices: Iterable[int], right_vertices: Iterable[int],
-    bound: int = ORBIT_CAP,
-) -> bool:
-    """Brute-force double coset membership: some geodesic spelling splits
-    as a Λ-block followed by an M-block."""
-    left = set(left_vertices)
-    right = set(right_vertices)
-    for spelling in shuffle_orbit(word, bound):
-        split = 0
-        while split < len(spelling) and spelling[split][0] in left:
-            split += 1
-        if all(v in right for v, _ in spelling[split:]):
-            return True
-    return False
-
-
 # -- automorphisms -----------------------------------------------------------
 
 
@@ -437,41 +420,3 @@ def is_inner(
             return None
     return g
 
-
-def is_inner_by_search(
-    phi: Automorphism, max_length: int = 4
-) -> Optional[Word]:
-    """Bounded brute-force inner test: try all conjugator words up to a
-    length bound over the letters appearing in the images.  Development
-    oracle for :func:`is_inner`."""
-    graph = phi.graph
-    alphabet = sorted({
-        (v, s)
-        for image in phi.images.values()
-        for v, s in image.letters
-    } | {
-        (v, -s)
-        for image in phi.images.values()
-        for v, s in image.letters
-    })
-    candidates: list[Word] = [Word(graph)]
-    seen = {Word(graph).letters}
-    frontier = [Word(graph)]
-    for _ in range(max_length):
-        next_frontier = []
-        for base in frontier:
-            for letter in alphabet:
-                extended = base * Word(graph, [letter])
-                if extended.letters not in seen:
-                    seen.add(extended.letters)
-                    next_frontier.append(extended)
-                    candidates.append(extended)
-        frontier = next_frontier
-    for g in candidates:
-        g_inv = g.inverse()
-        if all(
-            phi.images[v] == g * generator(graph, v) * g_inv
-            for v in graph.vertices()
-        ):
-            return g
-    return None

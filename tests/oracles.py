@@ -6,7 +6,21 @@ library does faster; the tests compare the two.
 
 from __future__ import annotations
 
-from raagscan.graphs import _cell_is_homogeneous, _code_from_order, _refine_partition
+import itertools
+from fractions import Fraction
+from typing import Iterable, Optional
+
+from raagscan.graphs import (
+    GraphError,
+    SimpleGraph,
+    _cell_is_homogeneous,
+    _code_from_order,
+    _refine_partition,
+    canonical_form,
+    graph6_decode,
+)
+from raagscan.homology import IntegerMatrix
+from raagscan.words import ORBIT_CAP, Automorphism, Word, shuffle_orbit
 
 
 def canonical_order_exhaustive(adj, n: int) -> list[int]:
@@ -50,3 +64,103 @@ def canonical_order_exhaustive(adj, n: int) -> list[int]:
 
     recurse(_refine_partition(adj, [sorted(range(n))]))
     return best
+
+
+def enumerate_by_dedup(n: int) -> list[SimpleGraph]:
+    """Brute-force witness: canonicalize all 2^C(n,2) labeled graphs (n <= 6)."""
+    if n > 6:
+        raise GraphError("brute-force enumeration is limited to n <= 6")
+    pairs = list(itertools.combinations(range(n), 2))
+    seen = set()
+    for picks in range(1 << len(pairs)):
+        edges = [pairs[i] for i in range(len(pairs)) if picks >> i & 1]
+        seen.add(canonical_form(SimpleGraph(n, edges)))
+    return [graph6_decode(code) for code in sorted(seen)]
+
+
+def rational_rank(m: IntegerMatrix) -> int:
+    """Rank over Q by exact Gaussian elimination on Fractions.
+
+    Independent of the Smith reduction, so the two cross-check each other.
+    """
+    if not m or not m[0]:
+        return 0
+    rows = [[Fraction(x) for x in row] for row in m]
+    rank = 0
+    cols = len(m[0])
+    for col in range(cols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank][col]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                factor = rows[i][col] / lead
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def double_coset_member_by_orbit(
+    word: Word, left_vertices: Iterable[int], right_vertices: Iterable[int],
+    bound: int = ORBIT_CAP,
+) -> bool:
+    """Brute-force double coset membership: some geodesic spelling splits
+    as a Λ-block followed by an M-block."""
+    left = set(left_vertices)
+    right = set(right_vertices)
+    for spelling in shuffle_orbit(word, bound):
+        split = 0
+        while split < len(spelling) and spelling[split][0] in left:
+            split += 1
+        if all(v in right for v, _ in spelling[split:]):
+            return True
+    return False
+
+
+class InnerBySearch:
+    """Bounded brute-force inner test over one ambient graph.
+
+    Walks every reduced word g of length at most ``max_length`` over all
+    2n signed letters once, and files g under the generator images of the
+    inner automorphism x -> g x g^-1 (the shortest g first).  An
+    automorphism is then inner by a conjugator within the bound exactly when
+    its images are a key.  Oracle for :func:`raagscan.words.is_inner`.
+    """
+
+    def __init__(self, graph: SimpleGraph, max_length: int = 4):
+        self.graph = graph
+        letters = [(v, s) for v in graph.vertices() for s in (1, -1)]
+        identity = Word(graph)
+        self.conjugators: dict[tuple, Word] = {}
+        seen = {identity.letters}
+        frontier = [identity]
+        self._file(identity)
+        for _ in range(max_length):
+            next_frontier = []
+            for base in frontier:
+                for letter in letters:
+                    extended = Word(graph, base.letters + (letter,))
+                    if extended.letters not in seen:
+                        seen.add(extended.letters)
+                        next_frontier.append(extended)
+                        self._file(extended)
+            frontier = next_frontier
+
+    def _file(self, g: Word) -> None:
+        inverse = g.inverse().letters
+        images = tuple(
+            Word(self.graph, g.letters + ((v, 1),) + inverse).letters
+            for v in self.graph.vertices()
+        )
+        self.conjugators.setdefault(images, g)
+
+    def __call__(self, phi: Automorphism) -> Optional[Word]:
+        """A conjugator g with phi = (x -> g x g^-1), or None within the bound."""
+        if phi.graph != self.graph:
+            raise ValueError("automorphism over a different graph")
+        images = tuple(phi.images[v].letters for v in self.graph.vertices())
+        return self.conjugators.get(images)

@@ -12,7 +12,8 @@ import subprocess
 import sys
 import time
 
-from raagscan.cm import MODE_FULL, MODE_PURITY_ONLY, is_cohen_macaulay
+from oracles import InnerBySearch, double_coset_member_by_orbit, rational_rank
+from raagscan.cm import MODE_FULL, is_cohen_macaulay
 from raagscan.complexes import flag_complex
 from raagscan.fixtures import load_fixture, verify_fixtures
 from raagscan.graphs import (
@@ -31,7 +32,6 @@ from raagscan.homology import (
     euler_characteristic_from_homology,
     matrix_is_zero,
     matrix_multiply,
-    rational_rank,
     reduced_homology,
     smith_normal_form,
 )
@@ -50,10 +50,8 @@ from raagscan.pso import (
 )
 from raagscan.words import (
     Word,
-    double_coset_member_by_orbit,
     identity_automorphism,
     is_inner,
-    is_inner_by_search,
     parabolic_double_coset_member,
 )
 
@@ -201,8 +199,8 @@ def test_criterion_6_cm_oracle_equivalence():
     for n in range(1, 8):
         for graph in enumerate_nonisomorphic(n):
             complex_ = flag_complex(graph)
-            purity = is_cohen_macaulay(complex_, MODE_PURITY_ONLY)
-            if not purity.is_cm:
+            # The pipeline's non-purity obstruction must imply full failure.
+            if not complex_.is_pure():
                 checked_purity += 1
                 assert not is_cohen_macaulay(complex_, MODE_FULL).is_cm
             if complex_.dimension() == 1 and complex_.is_pure():
@@ -253,13 +251,12 @@ def test_criterion_7_word_oracle_agreement():
         ]
         if not generators or full(graph):
             continue
+        slow = InnerBySearch(graph, max_length=4)
         for _ in range(25):
             phi = identity_automorphism(graph)
             for _ in range(rng.randint(1, 3)):
                 phi = phi.compose(rng.choice(generators))
-            fast = is_inner(phi)
-            slow = is_inner_by_search(phi, max_length=4)
-            assert (fast is None) == (slow is None)
+            assert (is_inner(phi) is None) == (slow(phi) is None)
             inner_cases += 1
 
     announce(

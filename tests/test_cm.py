@@ -4,9 +4,6 @@ import pytest
 
 from raagscan.cm import (
     MODE_FULL,
-    MODE_PURITY_AND_CONNECTIVITY,
-    MODE_PURITY_ONLY,
-    OBSTRUCTION_DISCONNECTED,
     OBSTRUCTION_GLOBAL_HOMOLOGY,
     OBSTRUCTION_NON_PURE,
     is_cohen_macaulay,
@@ -17,8 +14,10 @@ from raagscan.fixtures import load_fixture
 from raagscan.graphs import (
     SimpleGraph,
     complete_graph,
+    connected_components,
     cycle_graph,
     disjoint_union,
+    empty_graph,
     enumerate_nonisomorphic,
     is_connected,
     join,
@@ -61,37 +60,49 @@ class TestBasicVerdicts:
         assert verdict.witness_simplex == (2, 3)
 
 
+def _disconnected_in_positive_dimension(graph):
+    """The search pipeline's disconnected obstruction on a flag complex."""
+    return (
+        flag_complex(graph).dimension() >= 1
+        and len(connected_components(graph)) > 1
+    )
+
+
 class TestModes:
+    """The cheap obstructions the pipeline checks before full CM, and the one
+    remaining mode of the full check."""
+
     def test_purity_only_stops_early(self):
-        g = disjoint_union(complete_graph(2), complete_graph(2))
-        assert is_cohen_macaulay(flag_complex(g), MODE_PURITY_ONLY).is_cm
+        # pure, so the non-purity obstruction misses it; full CM does not
+        k = flag_complex(disjoint_union(complete_graph(2), complete_graph(2)))
+        assert k.is_pure()
+        assert not is_cohen_macaulay(k).is_cm
 
     def test_purity_and_connectivity_flags_disconnected(self):
         g = disjoint_union(complete_graph(2), complete_graph(2))
-        verdict = is_cohen_macaulay(flag_complex(g), MODE_PURITY_AND_CONNECTIVITY)
-        assert verdict.obstruction == OBSTRUCTION_DISCONNECTED
+        assert _disconnected_in_positive_dimension(g)
+        assert not is_cohen_macaulay(flag_complex(g)).is_cm
 
     def test_dimension_zero_disconnected_allowed(self):
         k = SimplicialComplex(3, [(0,), (1,), (2,)])
-        assert is_cohen_macaulay(k, MODE_PURITY_AND_CONNECTIVITY).is_cm
+        assert not _disconnected_in_positive_dimension(empty_graph(3))
+        assert is_cohen_macaulay(k).is_cm
 
     def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            is_cohen_macaulay(SimplicialComplex(0, []), "bogus")
+        for mode in ("bogus", "purity_only", "purity_and_connectivity"):
+            with pytest.raises(ValueError):
+                is_cohen_macaulay(SimplicialComplex(0, []), mode)
 
     def test_mode_monotonicity_small_graphs(self):
+        # each cheap obstruction is sound: it never fires on a CM complex
+        fired = 0
         for n in range(1, 7):
             for g in enumerate_nonisomorphic(n):
                 k = flag_complex(g)
-                purity = is_cohen_macaulay(k, MODE_PURITY_ONLY)
-                connectivity = is_cohen_macaulay(k, MODE_PURITY_AND_CONNECTIVITY)
-                full = is_cohen_macaulay(k, MODE_FULL)
-                if not purity.is_cm:
-                    assert not full.is_cm
-                if not connectivity.is_cm:
-                    assert not full.is_cm
-                if full.is_cm:
-                    assert purity.is_cm and connectivity.is_cm
+                if not k.is_pure() or _disconnected_in_positive_dimension(g):
+                    fired += 1
+                    assert not is_cohen_macaulay(k, MODE_FULL).is_cm
+        assert fired > 100
 
 
 class TestOneDimensionalCharacterization:

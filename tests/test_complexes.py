@@ -5,16 +5,15 @@ import pytest
 from raagscan.complexes import (
     ComplexError,
     SimplicialComplex,
-    complex_component_count,
     flag_complex,
     link_of_simplex,
     maximal_cliques,
     one_skeleton,
-    purity_and_dimension,
 )
 from raagscan.graphs import (
     SimpleGraph,
     complete_graph,
+    connected_components,
     cycle_graph,
     empty_graph,
     enumerate_nonisomorphic,
@@ -107,15 +106,16 @@ class TestFlagComplex:
 
 class TestPurity:
     def test_cycle_pure(self):
-        assert purity_and_dimension(flag_complex(cycle_graph(5))) == (1, True)
+        k = flag_complex(cycle_graph(5))
+        assert k.dimension() == 1 and k.is_pure()
 
     def test_empty_complex(self):
-        assert purity_and_dimension(SimplicialComplex(0, [])) == (-1, True)
+        k = SimplicialComplex(0, [])
+        assert k.dimension() == -1 and k.is_pure()
 
     def test_mixed_sizes_not_pure(self):
-        g = SimpleGraph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-        dim, pure = purity_and_dimension(flag_complex(g))
-        assert dim == 2 and not pure
+        k = flag_complex(SimpleGraph(4, [(0, 1), (0, 2), (1, 2), (2, 3)]))
+        assert k.dimension() == 2 and not k.is_pure()
 
 
 class TestSimplicesOfDim:
@@ -180,8 +180,7 @@ class TestLinks:
 
 class TestComponentCount:
     def test_connected(self):
-        assert complex_component_count(flag_complex(cycle_graph(5))) == 1
+        assert len(connected_components(cycle_graph(5))) == 1
 
     def test_two_pieces(self):
-        k = SimplicialComplex(4, [(0, 1), (2, 3)])
-        assert complex_component_count(k) == 2
+        assert len(connected_components(SimpleGraph(4, [(0, 1), (2, 3)]))) == 2

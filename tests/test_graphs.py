@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from oracles import canonical_order_exhaustive
+from oracles import canonical_order_exhaustive, enumerate_by_dedup
 from raagscan.graphs import (
     GraphError,
     SimpleGraph,
@@ -17,7 +17,6 @@ from raagscan.graphs import (
     cycle_graph,
     disjoint_union,
     empty_graph,
-    enumerate_by_dedup,
     enumerate_codes,
     enumerate_levels,
     enumerate_nonisomorphic,

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import rational_rank
 from raagscan.complexes import ComplexError, SimplicialComplex, flag_complex
 from raagscan.graphs import (
     SimpleGraph,
@@ -20,7 +21,6 @@ from raagscan.homology import (
     euler_characteristic_from_homology,
     matrix_is_zero,
     matrix_multiply,
-    rational_rank,
     reduced_homology,
     smith_normal_form,
 )

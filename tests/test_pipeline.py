@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +24,7 @@ from raagscan.graphs import (
 )
 from raagscan.pipeline import (
     OBSTRUCTION_DISCONNECTED,
-    OBSTRUCTION_NONPURE,
+    OBSTRUCTION_NON_PURE,
     STAGE_CLEAN,
     STAGE_FOREST,
     STAGE_OBSTRUCTION,
@@ -71,7 +73,7 @@ class TestRunPipeline:
         gamma = load_fixture("nine_vertex_15.edges")
         report = run_pipeline(gamma)
         assert report.stage_reached == STAGE_OBSTRUCTION
-        assert report.obstruction == OBSTRUCTION_NONPURE
+        assert report.obstruction == OBSTRUCTION_NON_PURE
         theta_fixture = load_fixture("nine_vertex_15_theta.edges")
         assert report.theta_code == canonical_form(theta_fixture)
 
@@ -82,7 +84,7 @@ class TestRunPipeline:
         )
         report = run_pipeline(gamma)
         assert report.stage_reached == STAGE_OBSTRUCTION
-        assert report.obstruction == OBSTRUCTION_NONPURE
+        assert report.obstruction == OBSTRUCTION_NON_PURE
 
     def test_disconnected_obstruction_opt_in(self):
         gamma2 = load_fixture("nine_vertex_17.edges")
@@ -214,6 +216,28 @@ class TestFixtureVerification:
             (tmp_path / name).write_text(format_edge_list(graph))
         report = verify_fixtures(str(tmp_path))
         assert not report.passed
+
+
+class TestBenchmarkContract:
+    """Names the benchmark under benchmarks/ calls or traces must exist."""
+
+    def test_traced_names_resolve(self):
+        path = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("bench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        assert tracing.TRACED
+        for module_name, name in tracing.TRACED:
+            module = importlib.import_module(f"raagscan.{module_name}")
+            assert callable(getattr(module, name, None)), (module_name, name)
+
+    def test_workload_names_exist(self):
+        from raagscan import cm, fixtures, graphs, pso
+
+        assert cm.MODE_FULL
+        assert pso.BACKEND_WORD_ORACLE and pso.BACKEND_COMBINATORIAL
+        assert callable(graphs.enumerate_codes)
+        assert fixtures.FIXTURE_FILES
 
 
 class TestCli:

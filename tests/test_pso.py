@@ -23,7 +23,6 @@ from raagscan.pso import (
     commute_in_out_oracle,
     outer_generators,
     partial_conjugation_catalog,
-    pso_is_raag,
     support_graph,
     theta_graph,
 )
@@ -135,9 +134,6 @@ class TestForestGate:
     def test_three_isolated_vertices_pass(self):
         assert all_supports_forests(empty_graph(3))[0]
 
-    def test_pso_is_raag_alias(self):
-        assert pso_is_raag(cycle_graph(5)) == all_supports_forests(cycle_graph(5))
-
 
 class TestTheta:
     def test_free_product_identity_both_backends(self):
@@ -175,7 +171,9 @@ class TestTheta:
             theta_graph(cycle_graph(5), "guesswork")
 
     def test_backend_agreement_small_graphs(self):
-        for n in range(1, 6):
+        # every forest-passing class with at most 7 vertices
+        checked = 0
+        for n in range(1, 8):
             for g in enumerate_nonisomorphic(n):
                 ok, _ = all_supports_forests(g)
                 if not ok:
@@ -183,6 +181,8 @@ class TestTheta:
                 comb = theta_graph(g, BACKEND_COMBINATORIAL)
                 word = theta_graph(g, BACKEND_WORD_ORACLE)
                 assert comb.theta == word.theta
+                checked += 1
+        assert checked == 1016
 
     def test_alternative_drop_choice_gives_isomorphic_theta(self):
         rng = random.Random(9)

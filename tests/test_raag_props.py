@@ -9,7 +9,9 @@ from raagscan.graphs import (
     cycle_graph,
     disjoint_union,
     empty_graph,
+    connected_components,
     enumerate_nonisomorphic,
+    induced_subgraph,
     is_connected,
     path_graph,
 )
@@ -23,6 +25,7 @@ from raagscan.raag_props import (
     join_certificate,
     out_is_finite,
     out_virtual_duality_verdict,
+    star_separates,
 )
 
 
@@ -61,6 +64,21 @@ class TestOutIsFinite:
                     and report.domination_witness is None
                 )
                 assert report.finite == absent
+
+
+class TestStarSeparates:
+    def test_matches_components_of_induced_complement(self):
+        for n in range(1, 7):
+            for g in enumerate_nonisomorphic(n):
+                for u in g.vertices():
+                    outside = set(g.vertices()) - g.neighbors(u) - {u}
+                    rest, _ = induced_subgraph(g, outside)
+                    expected = len(connected_components(rest)) > 1
+                    assert star_separates(g, u) == expected
+
+    def test_out_of_range(self):
+        with pytest.raises(GraphError):
+            star_separates(cycle_graph(5), 5)
 
 
 class TestTransvectionFree:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import InnerBySearch, double_coset_member_by_orbit
 from raagscan.graphs import (
     SimpleGraph,
     complete_graph,
@@ -19,11 +20,9 @@ from raagscan.words import (
     WordError,
     commutator,
     conjugating_word,
-    double_coset_member_by_orbit,
     generator,
     identity_automorphism,
     is_inner,
-    is_inner_by_search,
     parabolic_double_coset_member,
     partial_conjugation_automorphism,
     shuffle_orbit,
@@ -330,13 +329,12 @@ class TestIsInner:
             gens = [pc.automorphism(graph) for pc in outer_generators(graph)]
             if not gens:
                 continue
+            slow = InnerBySearch(graph, max_length=4)
             for _ in range(12):
                 phi = identity_automorphism(graph)
                 for _ in range(rng.randint(1, 3)):
                     phi = phi.compose(rng.choice(gens))
-                fast = is_inner(phi)
-                slow = is_inner_by_search(phi, max_length=4)
-                assert (fast is None) == (slow is None)
+                assert (is_inner(phi) is None) == (slow(phi) is None)
                 checked += 1
         assert checked >= 200
 
