@@ -64,7 +64,6 @@ from .words import (
     Word,
     is_inner,
     parabolic_double_coset_member,
-    reduce_word,
     shuffle_orbit,
     words_equal,
 )

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from .graphs import GraphError, SimpleGraph
+from .graphs import GraphError, SimpleGraph, _iter_bits
 
 Simplex = tuple[int, ...]
 
@@ -35,17 +35,14 @@ def maximal_cliques(graph: SimpleGraph) -> list[Simplex]:
 
     def expand(r_mask: int, p_mask: int, x_mask: int) -> None:
         if p_mask == 0 and x_mask == 0:
-            cliques.append(_mask_to_simplex(r_mask))
+            cliques.append(tuple(_iter_bits(r_mask)))
             return
         pivot = _max_degree_in(adj, p_mask | x_mask, p_mask)
-        candidates = p_mask & ~adj[pivot]
-        while candidates:
-            low = candidates & -candidates
-            v = low.bit_length() - 1
+        for v in _iter_bits(p_mask & ~adj[pivot]):
+            low = 1 << v
             expand(r_mask | low, p_mask & adj[v], x_mask & adj[v])
             p_mask &= ~low
             x_mask |= low
-            candidates ^= low
 
     full = (1 << n) - 1
     for v in order:
@@ -73,24 +70,11 @@ def _degeneracy_order(graph: SimpleGraph) -> list[int]:
 
 def _max_degree_in(adj, choices_mask: int, p_mask: int) -> int:
     best_v, best_count = 0, -1
-    m = choices_mask
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
+    for v in _iter_bits(choices_mask):
         count = (adj[v] & p_mask).bit_count()
         if count > best_count:
             best_v, best_count = v, count
-        m ^= low
     return best_v
-
-
-def _mask_to_simplex(mask: int) -> Simplex:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 class SimplicialComplex:
@@ -149,18 +133,9 @@ class SimplicialComplex:
             )
         return list(self.faces_by_dim().get(k, []))
 
-    def face_count(self) -> int:
-        return sum(len(v) for v in self.faces_by_dim().values())
-
     def is_face(self, simplex: Iterable[int]) -> bool:
         wanted = set(simplex)
         return any(wanted.issubset(facet) for facet in self.facets)
-
-    def vertex_set(self) -> set[int]:
-        out: set[int] = set()
-        for facet in self.facets:
-            out.update(facet)
-        return out
 
     def __eq__(self, other) -> bool:
         return (

@@ -72,7 +72,7 @@ class SimpleGraph:
 
     def neighbors(self, u: int) -> set[int]:
         self._check_vertex(u)
-        return _bits_to_set(self.adj[u])
+        return set(_iter_bits(self.adj[u]))
 
     def _check_vertex(self, u: int) -> None:
         if not 0 <= u < self.n:
@@ -95,13 +95,12 @@ class SimpleGraph:
         return sorted(self.edges)
 
 
-def _bits_to_set(mask: int) -> set[int]:
-    out = set()
+def _iter_bits(mask: int) -> Iterator[int]:
+    """The set bits of a mask, lowest first."""
     while mask:
         low = mask & -mask
-        out.add(low.bit_length() - 1)
+        yield low.bit_length() - 1
         mask ^= low
-    return out
 
 
 def _set_to_bits(vertices: Iterable[int]) -> int:
@@ -232,24 +231,21 @@ def graph6_decode(code: str) -> SimpleGraph:
 
 def graph6_encode(graph: SimpleGraph) -> str:
     """Encode a labeled graph in graph6 form (no header)."""
-    n = graph.n
+    return _graph6(graph.n, _code_from_order(graph.adj, range(graph.n)))
+
+
+def _graph6(n: int, code: int) -> str:
+    """graph6 text of an n-vertex graph from its :func:`_code_from_order` bits."""
     if n <= 62:
         prefix = [n]
     elif n <= 258047:
         prefix = [63, n >> 12 & 63, n >> 6 & 63, n & 63]
     else:
         raise GraphError("graph6 encoding limited to n <= 258047")
-    bits = 0
-    count = 0
-    for v in range(1, n):
-        row = graph.adj[v]
-        for u in range(v):
-            bits = (bits << 1) | (row >> u & 1)
-            count += 1
+    count = n * (n - 1) // 2
     pad = (-count) % 6
-    bits <<= pad
-    count += pad
-    body = [bits >> shift & 63 for shift in range(count - 6, -1, -6)]
+    code <<= pad
+    body = [code >> shift & 63 for shift in range(count + pad - 6, -1, -6)]
     return "".join(chr(value + 63) for value in prefix + body)
 
 
@@ -259,13 +255,13 @@ def graph6_encode(graph: SimpleGraph) -> str:
 def star(graph: SimpleGraph, u: int) -> set[int]:
     """The closed star: u together with its neighbors."""
     graph._check_vertex(u)
-    return _bits_to_set(graph.adj[u] | (1 << u))
+    return set(_iter_bits(graph.adj[u] | (1 << u)))
 
 
 def link(graph: SimpleGraph, u: int) -> set[int]:
     """The open neighborhood of u."""
     graph._check_vertex(u)
-    return _bits_to_set(graph.adj[u])
+    return set(_iter_bits(graph.adj[u]))
 
 
 def induced_subgraph(
@@ -291,7 +287,7 @@ def induced_subgraph(
 def connected_components(graph: SimpleGraph) -> list[set[int]]:
     """Vertex sets of the connected components, ordered by smallest member."""
     masks = _component_masks(graph.adj, (1 << graph.n) - 1)
-    return [_bits_to_set(mask) for mask in masks]
+    return [set(_iter_bits(mask)) for mask in masks]
 
 
 def _component_masks(adj, universe: int) -> list[int]:
@@ -304,11 +300,8 @@ def _component_masks(adj, universe: int) -> list[int]:
         frontier = seed
         while frontier:
             reached = 0
-            f = frontier
-            while f:
-                low = f & -f
-                reached |= adj[low.bit_length() - 1]
-                f ^= low
+            for v in _iter_bits(frontier):
+                reached |= adj[v]
             frontier = reached & remaining & ~comp
             comp |= frontier
         out.append(comp)
@@ -403,12 +396,14 @@ def erdos_renyi(n: int, p: float, seed: int) -> SimpleGraph:
 
 # -- canonical labeling ----------------------------------------------------
 #
-# Equitable refinement plus individualization backtracking.  The canonical
-# representative of an isomorphism class is the relabeling whose
-# upper-triangular adjacency bit string is lexicographically least among the
-# leaves of the search tree; refinement and individualization commute with
-# relabeling, so that minimum is well defined on isomorphism classes, and
-# the first leaf reaching it in depth-first order gives the canonical order.
+# Equitable refinement plus individualization backtracking over partitions
+# whose cells are ascending vertex bitmasks.  Each leaf of the search tree
+# orders the vertices; its code is the upper-triangular adjacency bit string
+# of the graph relabeled by that order, which is the graph6 body of that
+# relabeling.  The canonical form is the least code: refinement and
+# individualization commute with relabeling, so that minimum is well defined
+# on isomorphism classes, and the first leaf reaching it in depth-first
+# order gives the canonical order.
 #
 # The search prunes automorphic branches (McKay & Piperno, "Practical graph
 # isomorphism, II", J. Symbolic Comput. 60, 2014).  A vertex individualized
@@ -425,22 +420,20 @@ def erdos_renyi(n: int, p: float, seed: int) -> SimpleGraph:
 # the full search.
 
 
-def _refine_partition(adj, cells: list[list[int]]) -> list[list[int]]:
+def _refine_partition(adj, cells: list[int]) -> list[int]:
     """Equitable refinement: split cells by neighbor counts into every cell."""
-    cells = [list(c) for c in cells]
     changed = True
     while changed:
         changed = False
-        cell_masks = [_set_to_bits(c) for c in cells]
         new_cells = []
         for cell in cells:
-            if len(cell) == 1:
+            if not cell & (cell - 1):
                 new_cells.append(cell)
                 continue
             keyed = {}
-            for v in cell:
-                key = tuple((adj[v] & mask).bit_count() for mask in cell_masks)
-                keyed.setdefault(key, []).append(v)
+            for v in _iter_bits(cell):
+                key = tuple((adj[v] & mask).bit_count() for mask in cells)
+                keyed[key] = keyed.get(key, 0) | 1 << v
             if len(keyed) > 1:
                 changed = True
             for key in sorted(keyed):
@@ -449,7 +442,27 @@ def _refine_partition(adj, cells: list[list[int]]) -> list[list[int]]:
     return cells
 
 
-def _code_from_order(adj, order: list[int]) -> int:
+def _target_cell(adj, cells: list[int]) -> int | None:
+    """The first cell with more than one vertex, or None at a leaf.
+
+    A last such cell whose vertices are mutually indistinguishable (the same
+    rows outside it, and complete or empty among themselves) also makes a
+    leaf, since any order of them gives the same code.
+    """
+    target = next((i for i, cell in enumerate(cells) if cell & (cell - 1)), None)
+    if target == len(cells) - 1:
+        cell = cells[target]
+        members = list(_iter_bits(cell))
+        inner = [adj[v] & cell for v in members]
+        if len({adj[v] & ~cell for v in members}) == 1 and (
+            not any(inner)
+            or all(row == cell ^ 1 << v for v, row in zip(members, inner))
+        ):
+            return None
+    return target
+
+
+def _code_from_order(adj, order: Sequence[int]) -> int:
     """Upper-triangular adjacency bits of the relabeled graph, as an int."""
     code = 0
     for j in range(1, len(order)):
@@ -459,9 +472,12 @@ def _code_from_order(adj, order: list[int]) -> int:
     return code
 
 
-def _canonical_order(adj, n: int) -> list[int]:
-    if n == 0:
-        return []
+def _canonical_order(adj, n: int) -> tuple[list[int], int]:
+    """The canonical order (new label -> old vertex) and its code."""
+    if n > MAX_CANONICAL_N:
+        raise GraphError(
+            f"canonical labeling supports n <= {MAX_CANONICAL_N}, got {n}"
+        )
     best: list[int] = []
     best_code: int | None = None
     best_path: list[int] = []
@@ -486,39 +502,30 @@ def _canonical_order(adj, n: int) -> list[int]:
         return depth
 
     def recurse(cells, path):
-        target = None
-        for idx, cell in enumerate(cells):
-            if len(cell) > 1:
-                target = idx
-                break
+        target = _target_cell(adj, cells)
         if target is None:
-            return leaf([cell[0] for cell in cells], path)
+            return leaf([v for cell in cells for v in _iter_bits(cell)], path)
         cell = cells[target]
-        # If the remaining vertices are mutually indistinguishable (all the
-        # same rows outside, and complete or empty among themselves), any
-        # order gives the same code.
-        if target == len(cells) - 1 and _cell_is_homogeneous(adj, cell):
-            return leaf([c[0] for c in cells[:target]] + sorted(cell), path)
         depth = len(path)
         orbit = None
         known = 0
-        for i, v in enumerate(cell):
+        for i, v in enumerate(_iter_bits(cell)):
             if i and known < len(automorphisms):
                 known = len(automorphisms)
                 orbit = _orbit_labels(n, [
                     g for g in automorphisms if all(g[u] == u for u in path)
                 ])
-            if orbit is not None and orbit[v] in {orbit[u] for u in cell[:i]}:
+            earlier = _iter_bits(cell & ((1 << v) - 1))
+            if orbit is not None and orbit[v] in {orbit[u] for u in earlier}:
                 continue
-            rest = [w for w in cell if w != v]
-            split = cells[:target] + [[v], rest] + cells[target + 1:]
+            split = cells[:target] + [1 << v, cell ^ 1 << v] + cells[target + 1:]
             jump = recurse(_refine_partition(adj, split), path + [v])
             if jump is not None and jump < depth:
                 return jump
         return None
 
-    recurse(_refine_partition(adj, [sorted(range(n))]), [])
-    return best
+    recurse(_refine_partition(adj, [(1 << n) - 1]), [])
+    return best, best_code
 
 
 def _orbit_labels(n: int, generators: list[list[int]]) -> list[int]:
@@ -539,25 +546,9 @@ def _orbit_labels(n: int, generators: list[list[int]]) -> list[int]:
     return [find(x) for x in range(n)]
 
 
-def _cell_is_homogeneous(adj, cell) -> bool:
-    mask = _set_to_bits(cell)
-    rows = {adj[v] & ~mask for v in cell}
-    if len(rows) > 1:
-        return False
-    inner = [adj[v] & mask for v in cell]
-    full = mask  # ignoring the self bit, checked per vertex below
-    return all(r == 0 for r in inner) or all(
-        inner[i] == (full & ~(1 << v)) for i, v in enumerate(cell)
-    )
-
-
 def canonical_relabel(graph: SimpleGraph) -> tuple[SimpleGraph, tuple[int, ...]]:
     """The canonical representative plus the order (new label -> old vertex)."""
-    if graph.n > MAX_CANONICAL_N:
-        raise GraphError(
-            f"canonical labeling supports n <= {MAX_CANONICAL_N}, got {graph.n}"
-        )
-    order = _canonical_order(graph.adj, graph.n)
+    order, _ = _canonical_order(graph.adj, graph.n)
     position = {old: new for new, old in enumerate(order)}
     edges = [(position[u], position[v]) for u, v in graph.edges]
     return SimpleGraph(graph.n, edges), tuple(order)
@@ -565,8 +556,8 @@ def canonical_relabel(graph: SimpleGraph) -> tuple[SimpleGraph, tuple[int, ...]]
 
 def canonical_form(graph: SimpleGraph) -> str:
     """Canonical graph6 code: equal exactly for isomorphic graphs."""
-    relabeled, _ = canonical_relabel(graph)
-    return graph6_encode(relabeled)
+    _, code = _canonical_order(graph.adj, graph.n)
+    return _graph6(graph.n, code)
 
 
 # -- exhaustive enumeration -------------------------------------------------
@@ -591,7 +582,7 @@ def _expand_parents(k: int, parent_codes: Sequence[str]) -> set[str]:
         parent = graph6_decode(code)
         base_edges = list(parent.edges)
         for mask in range(1 << (k - 1)):
-            edges = base_edges + [(u, k - 1) for u in _bits_to_set(mask)]
+            edges = base_edges + [(u, k - 1) for u in _iter_bits(mask)]
             out.add(canonical_form(SimpleGraph(k, edges)))
     return out
 
@@ -639,6 +630,8 @@ def parallel_map(fn: Callable, items: Sequence, jobs: int) -> Iterator:
     must be picklable; results still come back in slice order, so the
     output never depends on the worker count.
     """
+    if jobs < 1:
+        raise GraphError(f"jobs must be at least 1, got {jobs}")
     if jobs == 1:
         yield fn(items)
         return

@@ -320,6 +320,8 @@ def scan_enumerated(
     jobs: int = 1,
 ) -> SearchResult:
     """Scan every isomorphism class with 1..max_n vertices."""
+    if max_n < 0:
+        raise GraphError(f"vertex count must be nonnegative, got {max_n}")
     codes = [code for level in enumerate_levels(max_n, jobs)[1:] for code in level]
     return _scan_codes(codes, obstructions, jobs)
 

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 from .graphs import (
     GraphError,
     SimpleGraph,
-    _bits_to_set,
     _complement_component_masks,
+    _iter_bits,
     _set_to_bits,
     _star_mask,
 )
@@ -95,7 +95,7 @@ def partial_conjugation_catalog(graph: SimpleGraph) -> list[PartialConjugation]:
             catalog.append(
                 PartialConjugation(
                     actor=x,
-                    component=frozenset(_bits_to_set(mask)),
+                    component=frozenset(_iter_bits(mask)),
                     redundant=redundant,
                     droppable=not redundant and index == drop_index,
                 )
@@ -142,11 +142,7 @@ def support_graph(graph: SimpleGraph, a: int) -> SupportGraph:
     star_a = _star_mask(graph, a)
     edges = set()
     for i, mask in enumerate(masks):
-        members = mask
-        while members:
-            low = members & -members
-            b = low.bit_length() - 1
-            members ^= low
+        for b in _iter_bits(mask):
             for piece in _complement_component_masks(graph, b):
                 if piece & star_a:
                     continue
@@ -156,7 +152,7 @@ def support_graph(graph: SimpleGraph, a: int) -> SupportGraph:
     return SupportGraph(
         base_vertex=a,
         graph=SimpleGraph(len(masks), edges),
-        components=tuple(frozenset(_bits_to_set(m)) for m in masks),
+        components=tuple(frozenset(_iter_bits(m)) for m in masks),
     )
 
 

@@ -69,18 +69,10 @@ def out_is_finite(graph: SimpleGraph) -> OutFinitenessReport:
     """
     if graph.n == 0:
         raise GraphError("finiteness of Out is undefined for the empty graph")
-    separating = None
-    domination = None
-    for u in graph.vertices():
-        if separating is None and star_separates(graph, u):
-            separating = u
-        if domination is None:
-            for v in graph.vertices():
-                if v != u and _dominates(graph, u, v):
-                    domination = (u, v)
-                    break
-        if separating is not None and domination is not None:
-            break
+    separating = next(
+        (u for u in graph.vertices() if star_separates(graph, u)), None
+    )
+    _, domination = is_transvection_free(graph)
     return OutFinitenessReport(
         separating is None and domination is None, separating, domination
     )

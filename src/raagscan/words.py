@@ -2,7 +2,7 @@
 
 The group has one generator per vertex, with two generators commuting
 exactly when their vertices span an edge.  A word is a sequence of signed
-letters; the canonical form produced by :func:`reduce_word` is the
+letters.  A :class:`Word` always holds its canonical form, the
 lexicographically least geodesic representative under the order
 (vertex, sign with + before -).
 
@@ -154,11 +154,6 @@ def _canonical(adj, letters: Sequence[Letter]) -> tuple[Letter, ...]:
             seen |= 1 << v
         out.append(reduced.pop(best_index))
     return tuple(out)
-
-
-def reduce_word(word: Word) -> Word:
-    """Canonical geodesic form (idempotent; Words are already reduced)."""
-    return Word(word.graph, word.letters)
 
 
 def words_equal(u: Word, v: Word) -> bool:

@@ -13,9 +13,10 @@ from typing import Iterable, Optional
 from raagscan.graphs import (
     GraphError,
     SimpleGraph,
-    _cell_is_homogeneous,
     _code_from_order,
+    _iter_bits,
     _refine_partition,
+    _target_cell,
     canonical_form,
     graph6_decode,
 )
@@ -23,47 +24,33 @@ from raagscan.homology import IntegerMatrix
 from raagscan.words import ORBIT_CAP, Automorphism, Word, shuffle_orbit
 
 
-def canonical_order_exhaustive(adj, n: int) -> list[int]:
-    """Canonical order from every leaf of the individualization tree.
+def canonical_order_exhaustive(adj, n: int) -> tuple[list[int], int]:
+    """Canonical order and code from every leaf of the individualization tree.
 
-    The same refinement, leaf code and homogeneous-last-cell shortcut as
+    The same refinement, leaf test and leaf code as
     ``graphs._canonical_order``, without automorphism pruning: the first
     leaf in depth-first order with the least code wins.
     """
-    if n == 0:
-        return []
     best: list[int] = []
     best_code: int | None = None
 
     def recurse(cells):
         nonlocal best, best_code
-        target = None
-        for idx, cell in enumerate(cells):
-            if len(cell) > 1:
-                target = idx
-                break
+        target = _target_cell(adj, cells)
         if target is None:
-            order = [cell[0] for cell in cells]
+            order = [v for cell in cells for v in _iter_bits(cell)]
             code = _code_from_order(adj, order)
             if best_code is None or code < best_code:
                 best_code = code
                 best = order
             return
         cell = cells[target]
-        if target == len(cells) - 1 and _cell_is_homogeneous(adj, cell):
-            order = [c[0] for c in cells[:target]] + sorted(cell)
-            code = _code_from_order(adj, order)
-            if best_code is None or code < best_code:
-                best_code = code
-                best = order
-            return
-        for v in cell:
-            rest = [w for w in cell if w != v]
-            split = cells[:target] + [[v], rest] + cells[target + 1:]
+        for v in _iter_bits(cell):
+            split = cells[:target] + [1 << v, cell ^ 1 << v] + cells[target + 1:]
             recurse(_refine_partition(adj, split))
 
-    recurse(_refine_partition(adj, [sorted(range(n))]))
-    return best
+    recurse(_refine_partition(adj, [(1 << n) - 1]))
+    return best, best_code
 
 
 def enumerate_by_dedup(n: int) -> list[SimpleGraph]:

@@ -5,6 +5,7 @@ small machine); everything else is fast.  All tolerances are exact or
 pinned here, nothing is deferred.
 """
 
+import hashlib
 import json
 import os
 import random
@@ -121,9 +122,22 @@ def test_criterion_3_clean_scan_through_seven():
     )
 
 
+# sha256 of the newline-joined enumerate_codes(k), as computed before
+# canonical_form wrote graph6 straight from the search's least code.
+GOLDEN_CODES = {
+    8: "aff8dddabbc3d74f79ef9335e2a515a5455d4958c41e7b3ac4efc7a2d2299dba",
+    9: "6fbe3234652781f453cbfd0ab547728078e23ec97187fef42fb7416dd7e529a6",
+}
+
+
+def _codes_digest(codes):
+    return hashlib.sha256("\n".join(codes).encode()).hexdigest()
+
+
 def test_criterion_4_exhaustive_counts_and_nine_vertex_hits():
     # n = 8: class count and a clean exhaustive scan.
     codes8 = enumerate_codes(8, jobs=JOBS)
+    assert _codes_digest(codes8) == GOLDEN_CODES[8]
     result8 = _scan_codes(codes8, ALL_OBSTRUCTIONS, jobs=JOBS)
     ok8 = len(codes8) == 12346 and result8.summary.found == []
 
@@ -131,6 +145,7 @@ def test_criterion_4_exhaustive_counts_and_nine_vertex_hits():
     # transcribed 9-vertex examples.  Random search found these classes;
     # scanning every class upgrades uniqueness to exhaustive confirmation.
     codes9 = enumerate_codes(9, jobs=JOBS)
+    assert _codes_digest(codes9) == GOLDEN_CODES[9]
     result9 = _scan_codes(codes9, ALL_OBSTRUCTIONS, jobs=JOBS)
     hits = {
         report.graph_code: report.obstruction

@@ -39,6 +39,12 @@ def relabel(graph, perm):
     return SimpleGraph(graph.n, [(perm[u], perm[v]) for u, v in graph.edges])
 
 
+def seeded_relabel(graph, seed):
+    perm = list(range(graph.n))
+    random.Random(seed).shuffle(perm)
+    return relabel(graph, perm)
+
+
 class TestParseEdgeList:
     def test_path(self):
         g = parse_edge_list("0 1\n1 2")
@@ -97,6 +103,16 @@ class TestGraph6:
     def test_roundtrip_larger(self):
         g = erdos_renyi(9, 0.45, seed=11)
         assert graph6_decode(graph6_encode(g)) == g
+
+    @pytest.mark.parametrize("n", [62, 63, 64, 100])
+    def test_roundtrip_long_header(self, n):
+        # from n = 63 on, the order takes "~" plus three 6-bit characters
+        g = erdos_renyi(n, 0.3, seed=n)
+        code = graph6_encode(g)
+        header = 4 if n >= 63 else 1
+        assert code[0] == ("~" if n >= 63 else chr(n + 63))
+        assert len(code) == header + (n * (n - 1) // 2 + 5) // 6
+        assert graph6_decode(code) == g
 
     def test_bad_character(self):
         with pytest.raises(GraphError, match="printable range"):
@@ -323,7 +339,33 @@ SYMMETRIC_CASES = {
 }
 
 
+def seeded_samples():
+    """Ten G(n, p) samples for each n = 11..24, from one fixed seed."""
+    rng = random.Random(2411)
+    return [
+        erdos_renyi(n, rng.uniform(0.1, 0.9), rng.getrandbits(64))
+        for n in range(11, 25)
+        for _ in range(10)
+    ]
+
+
+def pinned_graphs():
+    """The seeded samples, then each symmetric case under its seeded
+    relabeling, by name."""
+    return seeded_samples() + [
+        seeded_relabel(SYMMETRIC_CASES[name], name)
+        for name in sorted(SYMMETRIC_CASES)
+    ]
+
+
 class TestCanonicalPruning:
+    # sha256 of the newline-joined canonical_form of pinned_graphs(), as
+    # computed before canonical_form wrote graph6 straight from the search's
+    # least code.
+    PINNED_GOLDEN = (
+        "26f1b04986ac37033930bea3d4297c1c4e9f6eafa967f0fd6ef038c87bb5af51"
+    )
+
     def assert_same_order(self, graph):
         assert _canonical_order(graph.adj, graph.n) == canonical_order_exhaustive(
             graph.adj, graph.n
@@ -347,14 +389,20 @@ class TestCanonicalPruning:
     @pytest.mark.parametrize("name", sorted(SYMMETRIC_CASES))
     def test_symmetric_graph_is_fast_and_invariant(self, name):
         g = SYMMETRIC_CASES[name]
-        perm = list(range(g.n))
-        random.Random(name).shuffle(perm)
         codes = []
-        for graph in (g, relabel(g, perm)):
+        for graph in (g, seeded_relabel(g, name)):
             started = time.perf_counter()
             codes.append(canonical_form(graph))
             assert time.perf_counter() - started < 1.0
         assert codes[0] == codes[1]
+
+    def test_golden_codes_beyond_enumeration(self):
+        joined = "\n".join(canonical_form(g) for g in pinned_graphs())
+        assert hashlib.sha256(joined.encode()).hexdigest() == self.PINNED_GOLDEN
+
+    def test_code_is_graph6_of_relabeled_graph(self):
+        for g in pinned_graphs():
+            assert canonical_form(g) == graph6_encode(canonical_relabel(g)[0])
 
 
 class TestEnumeration:
@@ -399,3 +447,4 @@ class TestEnumeration:
     def test_bound(self):
         with pytest.raises(GraphError):
             list(enumerate_nonisomorphic(10))
+

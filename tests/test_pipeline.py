@@ -291,6 +291,17 @@ class TestCli:
         assert proc.returncode == 0
         assert len(out.read_text().splitlines()) == 50
 
+    @pytest.mark.parametrize("args, message", [
+        (("--enumerate", "3", "--jobs", "0"), "jobs must be at least 1, got 0"),
+        (("--enumerate", "3", "--jobs", "-1"), "jobs must be at least 1, got -1"),
+        (("--enumerate", "-1"), "vertex count must be nonnegative, got -1"),
+    ])
+    def test_scan_rejects_bad_counts(self, args, message):
+        proc = self.run_cli("scan", *args)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"raagscan: {message}\n"
+
     def test_usage_error_exit_code(self):
         proc = self.run_cli("scan")
         assert proc.returncode == 1

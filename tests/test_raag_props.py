@@ -65,6 +65,18 @@ class TestOutIsFinite:
                 )
                 assert report.finite == absent
 
+    def test_witnesses_are_the_first_in_vertex_order(self):
+        for n in range(1, 7):
+            for g in enumerate_nonisomorphic(n):
+                report = out_is_finite(g)
+                separating = [u for u in g.vertices() if star_separates(g, u)]
+                dominating = [
+                    (u, v) for u in g.vertices() for v in g.vertices()
+                    if u != v and g.neighbors(u) <= g.neighbors(v) | {v}
+                ]
+                assert report.separating_star_witness == next(iter(separating), None)
+                assert report.domination_witness == next(iter(dominating), None)
+
 
 class TestStarSeparates:
     def test_matches_components_of_induced_complement(self):
