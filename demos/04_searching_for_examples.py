@@ -17,6 +17,7 @@ from raagscan.fixtures import load_fixture
 from raagscan.pipeline import (
     ALL_OBSTRUCTIONS,
     SearchConfig,
+    SearchSummary,
     run_pipeline,
     search_random,
 )
@@ -25,10 +26,12 @@ config = SearchConfig(
     n=9, p=0.4, sample_count=20_000, master_seed=20260810,
     obstruction_set=ALL_OBSTRUCTIONS, jobs=2,
 )
-result = search_random(config)
-print("samples:", result.summary.total)
-print("attrition per stage:", result.summary.stage_counts)
-print("distinct obstructed classes found:", result.summary.found or "none")
+summary = SearchSummary()
+for report in search_random(config):  # reports arrive one at a time
+    summary.add(report)
+print("samples:", summary.total)
+print("attrition per stage:", summary.stage_counts)
+print("distinct obstructed classes found:", summary.found or "none")
 
 print("\nthe two known 9-vertex examples:")
 for name in ("nine_vertex_15.edges", "nine_vertex_17.edges"):

@@ -27,6 +27,7 @@ from .pipeline import (
     OBSTRUCTION_DISCONNECTED,
     OBSTRUCTION_NON_PURE,
     SearchConfig,
+    SearchSummary,
     run_pipeline,
     scan_corpus_file,
     scan_enumerated,
@@ -92,6 +93,26 @@ def cmd_check(args) -> int:
     return 0
 
 
+def _consume(reports, args) -> dict:
+    """Count each report in the summary and write its row in the same pass."""
+    summary = SearchSummary()
+
+    def counted():
+        for report in reports:
+            summary.add(report)
+            yield report
+
+    if args.out:
+        write_jsonl(
+            counted(), args.out,
+            include_timing=args.timings, hits_only=args.hits_only,
+        )
+    else:
+        for _ in counted():
+            pass
+    return summary.to_json()
+
+
 def cmd_search(args) -> int:
     config = SearchConfig(
         n=args.n,
@@ -101,18 +122,8 @@ def cmd_search(args) -> int:
         obstruction_set=_parse_obstructions(args.obstruction),
         jobs=args.jobs,
     )
-    try:
-        config.validate()
-    except ValueError as exc:
-        print(f"raagscan search: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    result = search_random(config)
-    if args.out:
-        write_jsonl(
-            result.reports, args.out,
-            include_timing=args.timings, hits_only=args.hits_only,
-        )
-    print(json.dumps(result.summary.to_json(), indent=2, sort_keys=True))
+    summary = _consume(search_random(config), args)
+    print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
 
@@ -120,16 +131,11 @@ def cmd_scan(args) -> int:
     obstructions = _parse_obstructions(args.obstruction)
     issues = []
     if args.enumerate is not None:
-        result = scan_enumerated(args.enumerate, obstructions, jobs=args.jobs)
+        reports = scan_enumerated(args.enumerate, obstructions, jobs=args.jobs)
     else:
         lines = Path(args.input).read_text().splitlines()
-        result, issues = scan_corpus_file(lines, obstructions, jobs=args.jobs)
-    if args.out:
-        write_jsonl(
-            result.reports, args.out,
-            include_timing=args.timings, hits_only=args.hits_only,
-        )
-    summary = result.summary.to_json()
+        reports, issues = scan_corpus_file(lines, obstructions, jobs=args.jobs)
+    summary = _consume(reports, args)
     if issues:
         summary["input_issues"] = [
             {"line": issue.line_number, "message": issue.message}

@@ -12,7 +12,6 @@ from functools import partial
 from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator, Sequence
 
-MAX_CANONICAL_N = 24
 MAX_ENUMERATE_N = 9
 
 
@@ -291,7 +290,8 @@ def connected_components(graph: SimpleGraph) -> list[set[int]]:
 
 
 def _component_masks(adj, universe: int) -> list[int]:
-    """Connected components of the subgraph induced on the `universe` bits."""
+    """Connected components of the subgraph induced on the `universe` bits,
+    ordered by smallest member."""
     out = []
     remaining = universe
     while remaining:
@@ -474,10 +474,6 @@ def _code_from_order(adj, order: Sequence[int]) -> int:
 
 def _canonical_order(adj, n: int) -> tuple[list[int], int]:
     """The canonical order (new label -> old vertex) and its code."""
-    if n > MAX_CANONICAL_N:
-        raise GraphError(
-            f"canonical labeling supports n <= {MAX_CANONICAL_N}, got {n}"
-        )
     best: list[int] = []
     best_code: int | None = None
     best_path: list[int] = []
@@ -624,18 +620,22 @@ def enumerate_levels(n: int, jobs: int = 1) -> list[list[str]]:
 def parallel_map(fn: Callable, items: Sequence, jobs: int) -> Iterator:
     """Apply ``fn`` to consecutive slices of ``items``; yield results in order.
 
-    With one job the whole sequence is a single slice, evaluated in this
-    process.  Otherwise a pool of ``jobs`` worker processes evaluates slices
-    of about ``len(items) / (8 * jobs)`` items (at most 2048), so ``fn``
-    must be picklable; results still come back in slice order, so the
-    output never depends on the worker count.
+    Slices hold about ``len(items) / (8 * jobs)`` items (at most 2048) at
+    every worker count.  One job evaluates them in this process as results
+    are read; more jobs evaluate them in a pool of worker processes, so
+    ``fn`` must be picklable.  Results come back in slice order, so the
+    output never depends on the worker count.  ``jobs`` is checked on the
+    call, before any slice runs.
     """
     if jobs < 1:
         raise GraphError(f"jobs must be at least 1, got {jobs}")
-    if jobs == 1:
-        yield fn(items)
-        return
     chunk = max(1, min(2048, len(items) // (8 * jobs)))
-    slices = [items[start:start + chunk] for start in range(0, len(items), chunk)]
+    slices = (items[start:start + chunk] for start in range(0, len(items), chunk))
+    if jobs == 1:
+        return map(fn, slices)
+    return _pool_map(fn, slices, jobs)
+
+
+def _pool_map(fn: Callable, slices: Iterable, jobs: int) -> Iterator:
     with Pool(jobs) as pool:
         yield from pool.imap(fn, slices)

@@ -84,12 +84,12 @@ class SmithForm:
     transform_right: IntegerMatrix
 
 
-def smith_normal_form(matrix: IntegerMatrix, check: bool = True) -> SmithForm:
+def smith_normal_form(matrix: IntegerMatrix) -> SmithForm:
     """Smith normal form with transformation witnesses.
 
     Pivot choice: the nonzero entry of least absolute value, ties broken
     uppermost-leftmost.  The witness identity U M V = D and the unimodularity
-    of U and V are verified before returning unless ``check`` is False.
+    of U and V are verified before returning.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
@@ -176,8 +176,7 @@ def smith_normal_form(matrix: IntegerMatrix, check: bool = True) -> SmithForm:
 
     diagonal = tuple(a[i][i] for i in range(t))
     form = SmithForm(diagonal, t, u, v)
-    if check:
-        _verify_smith(matrix, form)
+    _verify_smith(matrix, form)
     return form
 
 

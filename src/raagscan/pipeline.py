@@ -22,7 +22,8 @@ import json
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterable, Optional
+from itertools import chain
+from typing import Iterable, Iterator, Optional
 
 from .cm import MODE_FULL, OBSTRUCTION_NON_PURE, is_cohen_macaulay
 from .complexes import flag_complex
@@ -182,14 +183,12 @@ class SearchConfig:
 
     def validate(self) -> None:
         if self.sample_count < 1:
-            raise ValueError("sample_count must be at least 1")
+            raise GraphError("sample_count must be at least 1")
         if self.n < 1:
-            raise ValueError("n must be at least 1")
+            raise GraphError("n must be at least 1")
         lo, hi = self.p_range()
         if not (0.0 <= lo <= hi <= 1.0):
-            raise ValueError(f"edge probability range {self.p} outside [0, 1]")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
+            raise GraphError(f"edge probability range {self.p} outside [0, 1]")
 
     def p_range(self) -> tuple[float, float]:
         if isinstance(self.p, tuple):
@@ -221,10 +220,25 @@ def _search_chunk(config: SearchConfig, indices: range) -> list[ScanReport]:
 
 @dataclass
 class SearchSummary:
-    total: int
-    stage_counts: dict[str, int]
-    found: list[str]  # canonical codes of the distinct obstructed classes
+    """Running totals over a stream of reports; :meth:`add` counts one."""
+
+    total: int = 0
+    stage_counts: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(_STAGE_ORDER, 0)
+    )
+    # canonical codes of the distinct obstructed classes, in stream order
+    found: list[str] = field(default_factory=list)
     per_n_counts: dict[int, int] = field(default_factory=dict)
+    _seen: set[str] = field(default_factory=set, init=False, repr=False)
+
+    def add(self, report: ScanReport) -> None:
+        self.total += 1
+        self.stage_counts[report.stage_reached] += 1
+        self.per_n_counts[report.n] = self.per_n_counts.get(report.n, 0) + 1
+        code = report.graph_code
+        if report.stage_reached == STAGE_OBSTRUCTION and code not in self._seen:
+            self._seen.add(code)
+            self.found.append(code)
 
     def to_json(self) -> dict:
         return {
@@ -236,41 +250,14 @@ class SearchSummary:
         }
 
 
-def _summarize(reports: Iterable[ScanReport]) -> SearchSummary:
-    stage_counts = {stage: 0 for stage in _STAGE_ORDER}
-    found: list[str] = []
-    seen = set()
-    per_n: dict[int, int] = {}
-    total = 0
-    for report in reports:
-        total += 1
-        stage_counts[report.stage_reached] += 1
-        per_n[report.n] = per_n.get(report.n, 0) + 1
-        if report.stage_reached == STAGE_OBSTRUCTION:
-            if report.graph_code not in seen:
-                seen.add(report.graph_code)
-                found.append(report.graph_code)
-    return SearchSummary(total, stage_counts, found, per_n)
-
-
-@dataclass
-class SearchResult:
-    reports: list[ScanReport]
-    summary: SearchSummary
-
-
-def search_random(config: SearchConfig) -> SearchResult:
-    """Evaluate the configured sample stream; output is independent of jobs.
-
-    Reports come back ordered by sample index, so equal configurations give
-    byte-identical serialized streams for any worker count.
-    """
+def search_random(config: SearchConfig) -> Iterator[ScanReport]:
+    """Reports on the configured samples, lazily and in sample order, so
+    the stream is byte-identical for any worker count; the config is
+    checked on the call."""
     config.validate()
-    parts = parallel_map(
+    return chain.from_iterable(parallel_map(
         partial(_search_chunk, config), range(config.sample_count), config.jobs
-    )
-    reports = [report for part in parts for report in part]
-    return SearchResult(reports, _summarize(reports))
+    ))
 
 
 # -- corpus scans ---------------------------------------------------------------
@@ -286,19 +273,19 @@ def _scan_chunk(obstructions: frozenset[str], codes: list[str]) -> list[ScanRepo
     return [run_pipeline(graph6_decode(code), obstructions) for code in codes]
 
 
-def _scan_codes(codes, obstructions, jobs) -> SearchResult:
-    parts = parallel_map(partial(_scan_chunk, obstructions), codes, jobs)
-    reports = [report for part in parts for report in part]
-    return SearchResult(reports, _summarize(reports))
+def _scan_codes(codes, obstructions, jobs) -> Iterator[ScanReport]:
+    return chain.from_iterable(
+        parallel_map(partial(_scan_chunk, obstructions), codes, jobs)
+    )
 
 
 def scan_corpus_file(
     lines: Iterable[str],
     obstructions: frozenset[str] = DEFAULT_OBSTRUCTIONS,
     jobs: int = 1,
-) -> tuple[SearchResult, list[CorpusIssue]]:
-    """Scan graph6 codes, one per line; malformed lines are reported and
-    the scan continues."""
+) -> tuple[Iterator[ScanReport], list[CorpusIssue]]:
+    """Scan graph6 codes, one per line.  Malformed and order-0 lines become
+    issues on the call; the reports follow lazily, in line order."""
     codes = []
     issues = []
     for line_number, raw in enumerate(lines, start=1):
@@ -306,7 +293,8 @@ def scan_corpus_file(
         if not line:
             continue
         try:
-            graph6_decode(line)
+            if graph6_decode(line).n < 1:
+                raise GraphError("the pipeline needs at least one vertex")
         except GraphError as exc:
             issues.append(CorpusIssue(line_number, str(exc)))
             continue
@@ -318,8 +306,9 @@ def scan_enumerated(
     max_n: int,
     obstructions: frozenset[str] = DEFAULT_OBSTRUCTIONS,
     jobs: int = 1,
-) -> SearchResult:
-    """Scan every isomorphism class with 1..max_n vertices."""
+) -> Iterator[ScanReport]:
+    """Scan every isomorphism class with 1..max_n vertices.  The classes are
+    enumerated on the call; the reports follow lazily, by order and code."""
     if max_n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {max_n}")
     codes = [code for level in enumerate_levels(max_n, jobs)[1:] for code in level]

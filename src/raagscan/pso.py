@@ -88,16 +88,14 @@ def partial_conjugation_catalog(graph: SimpleGraph) -> list[PartialConjugation]:
         if not masks:
             continue
         redundant = len(masks) == 1
-        drop_index = min(
-            range(len(masks)), key=lambda i: (masks[i] & -masks[i]).bit_length()
-        )
+        # components come ordered by smallest member, so the first is dropped
         for index, mask in enumerate(masks):
             catalog.append(
                 PartialConjugation(
                     actor=x,
                     component=frozenset(_iter_bits(mask)),
                     redundant=redundant,
-                    droppable=not redundant and index == drop_index,
+                    droppable=not redundant and index == 0,
                 )
             )
     catalog.sort(key=PartialConjugation.sort_key)
@@ -137,8 +135,6 @@ def support_graph(graph: SimpleGraph, a: int) -> SupportGraph:
     """
     graph._check_vertex(a)
     masks = _complement_component_masks(graph, a)
-    order = sorted(range(len(masks)), key=lambda i: (masks[i] & -masks[i]).bit_length())
-    masks = [masks[i] for i in order]
     star_a = _star_mask(graph, a)
     edges = set()
     for i, mask in enumerate(masks):

@@ -21,7 +21,7 @@ from raagscan.graphs import (
     canonical_form,
     cycle_graph,
     empty_graph,
-    enumerate_codes,
+    enumerate_levels,
     enumerate_nonisomorphic,
     erdos_renyi,
     is_connected,
@@ -40,6 +40,7 @@ from raagscan.pipeline import (
     ALL_OBSTRUCTIONS,
     STAGE_OBSTRUCTION,
     SearchConfig,
+    SearchSummary,
     _scan_codes,
     search_random,
 )
@@ -135,21 +136,25 @@ def _codes_digest(codes):
 
 
 def test_criterion_4_exhaustive_counts_and_nine_vertex_hits():
+    # One enumeration pass builds every order up to 9; both scans are read
+    # as streams, so no list of the 274,668 reports is ever held.
+    levels = enumerate_levels(9, jobs=JOBS)
+    codes8, codes9 = levels[8], levels[9]
+
     # n = 8: class count and a clean exhaustive scan.
-    codes8 = enumerate_codes(8, jobs=JOBS)
     assert _codes_digest(codes8) == GOLDEN_CODES[8]
-    result8 = _scan_codes(codes8, ALL_OBSTRUCTIONS, jobs=JOBS)
-    ok8 = len(codes8) == 12346 and result8.summary.found == []
+    summary8 = SearchSummary()
+    for report in _scan_codes(codes8, ALL_OBSTRUCTIONS, jobs=JOBS):
+        summary8.add(report)
+    ok8 = len(codes8) == 12346 and summary8.found == []
 
     # n = 9: class count, and the non-pure hits are exactly the two
     # transcribed 9-vertex examples.  Random search found these classes;
     # scanning every class upgrades uniqueness to exhaustive confirmation.
-    codes9 = enumerate_codes(9, jobs=JOBS)
     assert _codes_digest(codes9) == GOLDEN_CODES[9]
-    result9 = _scan_codes(codes9, ALL_OBSTRUCTIONS, jobs=JOBS)
     hits = {
         report.graph_code: report.obstruction
-        for report in result9.reports
+        for report in _scan_codes(codes9, ALL_OBSTRUCTIONS, jobs=JOBS)
         if report.stage_reached == STAGE_OBSTRUCTION
     }
     nonpure_hits = {
@@ -288,8 +293,7 @@ def test_criterion_8_parallel_determinism():
         config = SearchConfig(
             n=9, p=0.4, sample_count=10_000, master_seed=90210, jobs=jobs
         )
-        result = search_random(config)
-        outputs[jobs] = "\n".join(r.to_jsonl() for r in result.reports)
+        outputs[jobs] = "\n".join(r.to_jsonl() for r in search_random(config))
     announce(
         8,
         outputs[1] == outputs[4] == outputs[8],

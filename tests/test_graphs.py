@@ -297,10 +297,6 @@ class TestCanonicalForm:
         # mapping new->old sends relabeled back to g
         assert {tuple(sorted(e)) for e in back.edges} == set(g.edges)
 
-    def test_size_limit(self):
-        with pytest.raises(GraphError):
-            canonical_form(empty_graph(40))
-
     def test_hard_symmetric_cases(self):
         for g in (complete_graph(9), empty_graph(9), cycle_graph(9),
                   join(complete_graph(3), empty_graph(3))):
@@ -326,7 +322,7 @@ PETERSEN = SimpleGraph(
     + [(i, i + 5) for i in range(5)],
 )
 
-# Symmetric graphs up to the 24-vertex limit; the larger ones do not finish
+# Symmetric graphs with at most 24 vertices; the larger ones do not finish
 # without automorphism pruning.
 SYMMETRIC_CASES = {
     **{f"{k}xK3": disjoint_copies(complete_graph(3), k) for k in range(1, 9)},
@@ -336,6 +332,39 @@ SYMMETRIC_CASES = {
     "C24": cycle_graph(24),
     "Petersen": PETERSEN,
     "K2+22K1": disjoint_union(complete_graph(2), empty_graph(22)),
+}
+
+
+def paley(q):
+    squares = {i * i % q for i in range(1, q)}
+    return SimpleGraph(
+        q, [(i, j) for i, j in itertools.combinations(range(q), 2)
+            if (j - i) % q in squares]
+    )
+
+
+def subset_graph(n, k, adjacent):
+    """Graph on the k-subsets of range(n), edges by ``adjacent(a, b)``."""
+    subsets = [frozenset(c) for c in itertools.combinations(range(n), k)]
+    return SimpleGraph(
+        len(subsets),
+        [(i, j) for (i, a), (j, b) in itertools.combinations(enumerate(subsets), 2)
+         if adjacent(a, b)],
+    )
+
+
+# Symmetric graphs above 24 vertices, kept out of SYMMETRIC_CASES and so out
+# of the pinned golden hash.
+LARGE_SYMMETRIC_CASES = {
+    "20xK3": disjoint_copies(complete_graph(3), 20),
+    "K30,30": join(empty_graph(30), empty_graph(30)),
+    "C100": cycle_graph(100),
+    "Q6": SimpleGraph(
+        64, [(u, u | 1 << b) for u in range(64) for b in range(6) if not u >> b & 1]
+    ),
+    **{f"Paley{q}": paley(q) for q in (29, 37, 41)},
+    "T10": subset_graph(10, 2, lambda a, b: len(a & b) == 1),
+    "Kneser8,3": subset_graph(8, 3, lambda a, b: not a & b),
 }
 
 
@@ -395,6 +424,18 @@ class TestCanonicalPruning:
             codes.append(canonical_form(graph))
             assert time.perf_counter() - started < 1.0
         assert codes[0] == codes[1]
+
+    @pytest.mark.parametrize("name", sorted(LARGE_SYMMETRIC_CASES))
+    def test_large_symmetric_graph_is_fast_and_invariant(self, name):
+        g = LARGE_SYMMETRIC_CASES[name]
+        assert g.n > 24
+        codes = []
+        for graph in (g, seeded_relabel(g, name), seeded_relabel(g, name + "'")):
+            started = time.perf_counter()
+            codes.append(canonical_form(graph))
+            assert time.perf_counter() - started < 1.0
+        assert codes[0] == codes[1] == codes[2]
+        assert graph6_decode(codes[0]).edge_count() == g.edge_count()
 
     def test_golden_codes_beyond_enumeration(self):
         joined = "\n".join(canonical_form(g) for g in pinned_graphs())

@@ -12,6 +12,7 @@ from raagscan.fixtures import (
     verify_fixtures,
 )
 from raagscan.graphs import (
+    GraphError,
     canonical_form,
     complete_graph,
     cycle_graph,
@@ -21,6 +22,7 @@ from raagscan.graphs import (
     graph6_decode,
     graph6_encode,
     join,
+    parallel_map,
 )
 from raagscan.pipeline import (
     OBSTRUCTION_DISCONNECTED,
@@ -30,6 +32,7 @@ from raagscan.pipeline import (
     STAGE_OBSTRUCTION,
     STAGE_TRANSVECTION,
     SearchConfig,
+    SearchSummary,
     run_pipeline,
     scan_corpus_file,
     scan_enumerated,
@@ -37,6 +40,13 @@ from raagscan.pipeline import (
     search_random,
     write_jsonl,
 )
+
+
+def summarize(reports):
+    summary = SearchSummary()
+    for report in reports:
+        summary.add(report)
+    return summary
 
 
 class TestRunPipeline:
@@ -124,15 +134,15 @@ class TestSearchRandom:
             cfg = SearchConfig(
                 n=7, p=0.5, sample_count=400, master_seed=31337, jobs=jobs
             )
-            lines = [r.to_jsonl() for r in search_random(cfg).reports]
+            lines = [r.to_jsonl() for r in search_random(cfg)]
             results[jobs] = "\n".join(lines)
         assert results[1] == results[2]
 
     def test_summary_counts(self):
         cfg = SearchConfig(n=6, p=0.4, sample_count=200, master_seed=7)
-        result = search_random(cfg)
-        assert result.summary.total == 200
-        assert sum(result.summary.stage_counts.values()) == 200
+        summary = summarize(search_random(cfg))
+        assert summary.total == 200
+        assert sum(summary.stage_counts.values()) == 200
 
     def test_sample_graph_deterministic(self):
         cfg = SearchConfig(n=9, p=0.4, sample_count=1, master_seed=55)
@@ -153,32 +163,53 @@ class TestSearchRandom:
         with pytest.raises(ValueError):
             SearchConfig(n=9, p=0.4, sample_count=0, master_seed=0).validate()
 
+    def test_bad_config_and_jobs_rejected_on_call(self):
+        for config in (
+            SearchConfig(n=9, p=1.4, sample_count=10, master_seed=0),
+            SearchConfig(n=9, p=0.4, sample_count=10, master_seed=0, jobs=0),
+        ):
+            with pytest.raises(ValueError):
+                search_random(config)  # not read: validation is eager
+
     def test_seed_info_recorded(self):
         cfg = SearchConfig(n=5, p=0.5, sample_count=3, master_seed=12)
-        result = search_random(cfg)
-        assert [r.seed_info for r in result.reports] == [
+        assert [r.seed_info for r in search_random(cfg)] == [
             (12, 0), (12, 1), (12, 2)
         ]
 
 
 class TestScans:
     def test_enumerated_small(self):
-        result = scan_enumerated(4)
-        assert result.summary.total == 1 + 2 + 4 + 11
-        assert result.summary.per_n_counts == {1: 1, 2: 2, 3: 4, 4: 11}
-        assert result.summary.found == []
+        summary = summarize(scan_enumerated(4))
+        assert summary.total == 1 + 2 + 4 + 11
+        assert summary.per_n_counts == {1: 1, 2: 2, 3: 4, 4: 11}
+        assert summary.found == []
+
+    def test_bad_counts_rejected_on_call(self):
+        with pytest.raises(GraphError, match="nonnegative"):
+            scan_enumerated(-1)  # not read: validation is eager
+        with pytest.raises(GraphError, match="jobs"):
+            scan_enumerated(3, jobs=0)
 
     def test_corpus_file_with_bad_line(self):
         lines = [graph6_encode(cycle_graph(5)), "@@@\x01", "A_"]
-        result, issues = scan_corpus_file(lines)
-        assert result.summary.total == 2
+        reports, issues = scan_corpus_file(lines)
+        assert summarize(reports).total == 2
         assert len(issues) == 1 and issues[0].line_number == 2
+
+    def test_summary_counts_each_obstructed_class_once(self):
+        hit = run_pipeline(load_fixture("nine_vertex_15.edges"))
+        assert hit.stage_reached == STAGE_OBSTRUCTION
+        summary = summarize([hit, run_pipeline(cycle_graph(5)), hit])
+        assert summary.total == 3
+        assert summary.found == [hit.graph_code]
+        assert summary.stage_counts[STAGE_OBSTRUCTION] == 2
+        assert summary.per_n_counts == {9: 2, 5: 1}
 
     def test_write_jsonl(self, tmp_path):
         cfg = SearchConfig(n=5, p=0.5, sample_count=5, master_seed=4)
-        result = search_random(cfg)
         out = tmp_path / "reports.jsonl"
-        written = write_jsonl(result.reports, str(out))
+        written = write_jsonl(search_random(cfg), str(out))
         assert written == 5
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert all(row["schema_version"] == 1 for row in rows)
@@ -186,9 +217,35 @@ class TestScans:
     def test_jobs_do_not_change_scan_output(self):
         one = scan_enumerated(5, jobs=1)
         two = scan_enumerated(5, jobs=2)
-        assert [r.to_json() for r in one.reports] == [
-            r.to_json() for r in two.reports
-        ]
+        assert [r.to_json() for r in one] == [r.to_json() for r in two]
+
+
+class TestParallelMap:
+    def test_one_job_maps_slices_as_read(self):
+        calls = []
+
+        def fn(part):
+            calls.append(list(part))
+            return sum(part)
+
+        results = parallel_map(fn, range(100), 1)
+        assert calls == []
+        assert next(results) == sum(range(12))
+        assert calls == [list(range(12))]
+        assert sum(results) == sum(range(12, 100))
+        assert len(calls) == 9
+
+    def test_one_slicing_rule_for_every_job_count(self):
+        for jobs in (1, 2):
+            assert list(parallel_map(list, range(40), jobs)) == [
+                list(range(start, min(start + 40 // (8 * jobs), 40)))
+                for start in range(0, 40, 40 // (8 * jobs))
+            ]
+
+    def test_bad_jobs_rejected_on_call(self):
+        for jobs in (0, -1):
+            with pytest.raises(GraphError, match=f"got {jobs}"):
+                parallel_map(sum, [1, 2], jobs)  # not read
 
 
 class TestFixtureVerification:
@@ -291,16 +348,40 @@ class TestCli:
         assert proc.returncode == 0
         assert len(out.read_text().splitlines()) == 50
 
+    SEARCH = ("search", "--n", "6", "--p", "0.5", "--count", "5", "--seed", "3")
+
     @pytest.mark.parametrize("args, message", [
-        (("--enumerate", "3", "--jobs", "0"), "jobs must be at least 1, got 0"),
-        (("--enumerate", "3", "--jobs", "-1"), "jobs must be at least 1, got -1"),
-        (("--enumerate", "-1"), "vertex count must be nonnegative, got -1"),
+        (("scan", "--enumerate", "3", "--jobs", "0"), "jobs must be at least 1, got 0"),
+        (("scan", "--enumerate", "3", "--jobs", "-1"), "jobs must be at least 1, got -1"),
+        (("scan", "--enumerate", "-1"), "vertex count must be nonnegative, got -1"),
+        ((*SEARCH, "--jobs", "0"), "jobs must be at least 1, got 0"),
+        ((*SEARCH, "--jobs", "-1"), "jobs must be at least 1, got -1"),
     ])
-    def test_scan_rejects_bad_counts(self, args, message):
-        proc = self.run_cli("scan", *args)
+    def test_scan_rejects_bad_counts(self, args, message, tmp_path):
+        out = tmp_path / "rows.jsonl"
+        proc = self.run_cli(*args, "--out", str(out))
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == f"raagscan: {message}\n"
+        assert not out.exists()
+
+    def test_scan_corpus_reports_order_zero_and_scans_large_graphs(self, tmp_path):
+        corpus = tmp_path / "corpus.g6"
+        corpus.write_text("\n".join([
+            graph6_encode(cycle_graph(5)),
+            graph6_encode(disjoint_union(cycle_graph(20), cycle_graph(5))),
+            "?",
+            "@@@",
+            graph6_encode(cycle_graph(6)),
+        ]) + "\n")
+        proc = self.run_cli("scan", "--input", str(corpus))
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        issues = payload["input_issues"]
+        assert [issue["line"] for issue in issues] == [3, 4]
+        assert issues[0]["message"] == "the pipeline needs at least one vertex"
+        assert payload["total"] == 3
+        assert payload["per_n_counts"] == {"5": 1, "25": 1, "6": 1}
 
     def test_usage_error_exit_code(self):
         proc = self.run_cli("scan")
