@@ -75,10 +75,15 @@ def _parse_obstructions(spec: str) -> frozenset[str]:
 
 
 def _parse_p(text: str) -> float | tuple[float, float]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return (float(lo), float(hi))
-    return float(text)
+    try:
+        if ":" in text:
+            lo, hi = text.split(":", 1)
+            return (float(lo), float(hi))
+        return float(text)
+    except ValueError:
+        raise GraphError(
+            f"edge probability must be a number or a lo:hi range, got {text!r}"
+        ) from None
 
 
 def cmd_check(args) -> int:

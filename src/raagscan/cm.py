@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .complexes import SimplicialComplex, flag_complex, link_of_simplex
-from .graphs import SimpleGraph
+from .complexes import SimplicialComplex, flag_complex, link_of_simplex, one_skeleton
+from .graphs import SimpleGraph, canonical_relabel
 from .homology import (
     HomologyProfile,
     concentrated_free_in_degree,
@@ -90,11 +90,16 @@ def is_cohen_macaulay(
             witness_degree=_offending_degree(profile, dim),
             witness_homology=profile.describe(),
         )
+    # Isomorphic links have the same homology, so each is computed once.
+    link_profiles: dict[tuple, HomologyProfile] = {}
     # In a pure complex every face of dimension below the top is non-maximal.
     for k in range(0, dim):
         for face in complex_.simplices_of_dim(k):
             link, _ = link_of_simplex(complex_, face)
-            link_profile = reduced_homology(link)
+            key = _relabeled_facets(link)
+            link_profile = link_profiles.get(key)
+            if link_profile is None:
+                link_profile = link_profiles[key] = reduced_homology(link)
             if not concentrated_free_in_degree(link_profile, dim - k - 1):
                 return CmVerdict(
                     False, dim, OBSTRUCTION_LINK_HOMOLOGY,
@@ -103,6 +108,19 @@ def is_cohen_macaulay(
                     witness_homology=link_profile.describe(),
                 )
     return CmVerdict(True, dim)
+
+
+def _relabeled_facets(complex_: SimplicialComplex) -> tuple:
+    """The facets relabeled by the canonical order of the 1-skeleton.
+
+    Equal results mean the complexes are equal after relabeling, flag or
+    not; isomorphic flag complexes always give equal results.
+    """
+    _, order = canonical_relabel(one_skeleton(complex_))
+    position = {old: new for new, old in enumerate(order)}
+    return complex_.n, tuple(sorted(
+        tuple(sorted(position[v] for v in facet)) for facet in complex_.facets
+    ))
 
 
 def _offending_degree(profile: HomologyProfile, allowed: int) -> int:

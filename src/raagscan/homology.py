@@ -30,7 +30,9 @@ def identity_matrix(n: int) -> IntegerMatrix:
 
 
 def matrix_multiply(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
+    """The product a b, skipping the zero entries of both factors."""
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    b_nonzero = [[(j, y) for j, y in enumerate(brow) if y] for brow in b]
     out = zero_matrix(rows, cols)
     for i in range(rows):
         row = a[i]
@@ -38,37 +40,13 @@ def matrix_multiply(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
         for k in range(inner):
             coeff = row[k]
             if coeff:
-                brow = b[k]
-                for j in range(cols):
-                    acc[j] += coeff * brow[j]
+                for j, y in b_nonzero[k]:
+                    acc[j] += coeff * y
     return out
 
 
 def matrix_is_zero(m: IntegerMatrix) -> bool:
     return all(entry == 0 for row in m for entry in row)
-
-
-def determinant(m: IntegerMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 @dataclass(frozen=True)
@@ -89,37 +67,50 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithForm:
 
     Pivot choice: the nonzero entry of least absolute value, ties broken
     uppermost-leftmost.  The witness identity U M V = D and the unimodularity
-    of U and V are verified before returning.
+    of U and V are verified before returning.  Unimodularity is certified
+    by integer inverses of U and V, built alongside them from the inverse
+    of every elementary step.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     a = [row[:] for row in matrix]
     u = identity_matrix(rows)
     v = identity_matrix(cols)
+    # A row op on U is a column op on its inverse, so the inverse of U is
+    # held by columns; a column op on V is a row op on its inverse.
+    u_inverse_columns = identity_matrix(rows)
+    v_inverse = identity_matrix(cols)
 
     def row_op(i, j, factor):  # row_i -= factor * row_j
         a[i] = [x - factor * y for x, y in zip(a[i], a[j])]
         u[i] = [x - factor * y for x, y in zip(u[i], u[j])]
+        u_inverse_columns[j] = [
+            x + factor * y for x, y in zip(u_inverse_columns[j], u_inverse_columns[i])
+        ]
 
     def col_op(i, j, factor):  # col_i -= factor * col_j
         for row in a:
             row[i] -= factor * row[j]
         for row in v:
             row[i] -= factor * row[j]
+        v_inverse[j] = [x + factor * y for x, y in zip(v_inverse[j], v_inverse[i])]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
+        u_inverse_columns[i], u_inverse_columns[j] = u_inverse_columns[j], u_inverse_columns[i]
 
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
+        v_inverse[i], v_inverse[j] = v_inverse[j], v_inverse[i]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
+        u_inverse_columns[i] = [-x for x in u_inverse_columns[i]]
 
     limit = min(rows, cols)
     t = 0
@@ -127,10 +118,15 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithForm:
         pivot = None
         best = None
         for i in range(t, rows):
+            row = a[i]
             for j in range(t, cols):
-                value = abs(a[i][j])
+                value = abs(row[j])
                 if value and (best is None or value < best):
                     best, pivot = value, (i, j)
+                    if value == 1:
+                        break  # no later entry is smaller, and ties go earlier
+            if best == 1:
+                break
         if pivot is None:
             break
         swap_rows(t, pivot[0])
@@ -174,13 +170,23 @@ def smith_normal_form(matrix: IntegerMatrix) -> SmithForm:
                 if a[i + 1][i + 1] < 0:
                     negate_row(i + 1)
 
-    diagonal = tuple(a[i][i] for i in range(t))
-    form = SmithForm(diagonal, t, u, v)
-    _verify_smith(matrix, form)
+    form = SmithForm(tuple(a[i][i] for i in range(t)), t, u, v)
+    del a  # the working matrix is not needed to verify the witnesses
+    u_inverse = [list(column) for column in zip(*u_inverse_columns)]
+    del u_inverse_columns
+    _verify_smith(matrix, form, u_inverse, v_inverse)
     return form
 
 
-def _verify_smith(matrix: IntegerMatrix, form: SmithForm) -> None:
+def _verify_smith(
+    matrix: IntegerMatrix, form: SmithForm,
+    left_inverse: IntegerMatrix, right_inverse: IntegerMatrix,
+) -> None:
+    """Raise unless U M V = D, D is a positive divisibility chain, and the
+    claimed inverses certify U and V unimodular.
+
+    An integer matrix with an integer inverse has determinant +-1.
+    """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     product = matrix_multiply(matrix_multiply(form.transform_left, matrix), form.transform_right) if rows and cols else []
@@ -189,15 +195,21 @@ def _verify_smith(matrix: IntegerMatrix, form: SmithForm) -> None:
         expected[i][i] = d
     if rows and cols and product != expected:
         raise HomologyError("Smith witnesses do not reproduce the diagonal form")
+    del product, expected
     for i in range(form.rank - 1):
         if form.diagonal[i + 1] % form.diagonal[i] != 0:
             raise HomologyError("Smith diagonal violates the divisibility chain")
     if any(d <= 0 for d in form.diagonal):
         raise HomologyError("Smith diagonal entries must be positive")
-    if abs(determinant(form.transform_left)) != 1:
+    if not _is_identity(matrix_multiply(form.transform_left, left_inverse)):
         raise HomologyError("left Smith witness is not unimodular")
-    if abs(determinant(form.transform_right)) != 1:
+    if not _is_identity(matrix_multiply(form.transform_right, right_inverse)):
         raise HomologyError("right Smith witness is not unimodular")
+
+
+def _is_identity(m: IntegerMatrix) -> bool:
+    n = len(m)
+    return all(row == [0] * i + [1] + [0] * (n - i - 1) for i, row in enumerate(m))
 
 
 def boundary_matrix(complex_: SimplicialComplex, k: int) -> IntegerMatrix:

@@ -187,8 +187,10 @@ class SearchConfig:
         if self.n < 1:
             raise GraphError("n must be at least 1")
         lo, hi = self.p_range()
-        if not (0.0 <= lo <= hi <= 1.0):
+        if not (0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0):
             raise GraphError(f"edge probability range {self.p} outside [0, 1]")
+        if lo > hi:
+            raise GraphError(f"edge probability range {self.p} has lo > hi")
 
     def p_range(self) -> tuple[float, float]:
         if isinstance(self.p, tuple):

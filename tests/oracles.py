@@ -10,6 +10,15 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Optional
 
+from raagscan.cm import (
+    OBSTRUCTION_GLOBAL_HOMOLOGY,
+    OBSTRUCTION_LINK_HOMOLOGY,
+    OBSTRUCTION_NON_PURE,
+    CmVerdict,
+    _non_pure_witness,
+    _offending_degree,
+)
+from raagscan.complexes import SimplicialComplex, link_of_simplex
 from raagscan.graphs import (
     GraphError,
     SimpleGraph,
@@ -20,7 +29,11 @@ from raagscan.graphs import (
     canonical_form,
     graph6_decode,
 )
-from raagscan.homology import IntegerMatrix
+from raagscan.homology import (
+    IntegerMatrix,
+    concentrated_free_in_degree,
+    reduced_homology,
+)
 from raagscan.words import ORBIT_CAP, Automorphism, Word, shuffle_orbit
 
 
@@ -89,6 +102,64 @@ def rational_rank(m: IntegerMatrix) -> int:
         if rank == len(rows):
             break
     return rank
+
+
+def determinant(m: IntegerMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    n = len(m)
+    if n == 0:
+        return 1
+    a = [row[:] for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def cohen_macaulay_by_every_link(complex_: SimplicialComplex) -> CmVerdict:
+    """Reisner's criterion with the homology of every link computed afresh.
+
+    The same checks in the same order as ``cm.is_cohen_macaulay``, without
+    sharing one link's homology among isomorphic links.
+    """
+    dim = complex_.dimension()
+    if dim == -1:
+        return CmVerdict(True, -1)
+    if not complex_.is_pure():
+        return CmVerdict(
+            False, dim, OBSTRUCTION_NON_PURE,
+            witness_simplex=_non_pure_witness(complex_),
+        )
+    profile = reduced_homology(complex_)
+    if not concentrated_free_in_degree(profile, dim):
+        return CmVerdict(
+            False, dim, OBSTRUCTION_GLOBAL_HOMOLOGY,
+            witness_degree=_offending_degree(profile, dim),
+            witness_homology=profile.describe(),
+        )
+    for k in range(0, dim):
+        for face in complex_.simplices_of_dim(k):
+            link, _ = link_of_simplex(complex_, face)
+            link_profile = reduced_homology(link)
+            if not concentrated_free_in_degree(link_profile, dim - k - 1):
+                return CmVerdict(
+                    False, dim, OBSTRUCTION_LINK_HOMOLOGY,
+                    witness_simplex=face,
+                    witness_degree=_offending_degree(link_profile, dim - k - 1),
+                    witness_homology=link_profile.describe(),
+                )
+    return CmVerdict(True, dim)
 
 
 def double_coset_member_by_orbit(

@@ -1,11 +1,18 @@
+import functools
+import itertools
 import random
 
 import pytest
 
+from oracles import cohen_macaulay_by_every_link
+from test_homology import RP2
+from raagscan import cm
 from raagscan.cm import (
     MODE_FULL,
     OBSTRUCTION_GLOBAL_HOMOLOGY,
+    OBSTRUCTION_LINK_HOMOLOGY,
     OBSTRUCTION_NON_PURE,
+    CmVerdict,
     is_cohen_macaulay,
     raag_duality_verdict,
 )
@@ -18,7 +25,9 @@ from raagscan.graphs import (
     cycle_graph,
     disjoint_union,
     empty_graph,
+    enumerate_codes,
     enumerate_nonisomorphic,
+    graph6_decode,
     is_connected,
     join,
     path_graph,
@@ -159,3 +168,76 @@ class TestDualityVerdicts:
         # join of two 5-cycles triangulates the 3-sphere
         verdict = raag_duality_verdict(join(cycle_graph(5), cycle_graph(5)))
         assert verdict.is_duality_group
+
+
+def _random_complexes(count, seed):
+    """Seeded pure complexes from random facet sets on <= 7 vertices.
+
+    Links that share a 1-skeleton without being isomorphic occur among them:
+    with seed 31, a link key made from the 1-skeleton alone changes some
+    verdicts.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 7)
+        size = rng.randint(min(n, 3), min(n, 5))
+        candidates = list(itertools.combinations(range(n), size))
+        yield SimplicialComplex(n, rng.sample(candidates, rng.randint(1, min(len(candidates), 8))))
+
+
+class TestLinkMemo:
+    """Sharing link homology among isomorphic links changes no verdict."""
+
+    def test_flag_complexes_up_to_seven_vertices(self):
+        rng = random.Random(17)
+        for n in range(1, 8):
+            for code in enumerate_codes(n):
+                g = graph6_decode(code)
+                perm = list(range(n))
+                rng.shuffle(perm)
+                relabeled = SimpleGraph(n, [(perm[u], perm[v]) for u, v in g.edges])
+                for graph in (g, relabeled):
+                    k = flag_complex(graph)
+                    assert is_cohen_macaulay(k) == cohen_macaulay_by_every_link(k)
+
+    def test_projective_plane(self):
+        verdict = is_cohen_macaulay(RP2)
+        assert verdict == cohen_macaulay_by_every_link(RP2)
+        assert verdict.obstruction == OBSTRUCTION_GLOBAL_HOMOLOGY
+
+    def test_random_non_flag_complexes(self):
+        link_witnesses = 0
+        for k in _random_complexes(200, seed=31):
+            verdict = is_cohen_macaulay(k)
+            assert verdict == cohen_macaulay_by_every_link(k), k
+            link_witnesses += verdict.obstruction == OBSTRUCTION_LINK_HOMOLOGY
+        assert link_witnesses >= 10
+
+    def test_links_sharing_a_one_skeleton_stay_apart(self):
+        # The suspension (apexes 7, 8) of a 2-complex in which vertex 0 has
+        # the link K5 minus an edge and vertex 6 the link of a hollow
+        # triangle.  The link of vertex 6 is then a 2-sphere and the link of
+        # the edge (0, 7) is the graph K5 minus an edge: one 1-skeleton, two
+        # homologies.  A key made from the 1-skeleton alone would hand the
+        # sphere's H~2 to the edge and report a false LinkHomology witness.
+        base = [(0, i, j) for i, j in itertools.combinations(range(1, 6), 2) if (i, j) != (4, 5)]
+        base += [(6, 1, 2), (6, 2, 3), (6, 1, 3)]
+        k = SimplicialComplex(9, [facet + (apex,) for facet in base for apex in (7, 8)])
+        assert is_cohen_macaulay(k) == cohen_macaulay_by_every_link(k) == CmVerdict(True, 3)
+        hollow = SimplicialComplex(3, [(0, 1), (1, 2), (0, 2)])
+        filled = SimplicialComplex(3, [(0, 1, 2)])
+        assert cm._relabeled_facets(hollow) != cm._relabeled_facets(filled)
+
+    def test_one_homology_per_link_class(self, monkeypatch):
+        calls = []
+        real = cm.reduced_homology
+
+        def counted(complex_):
+            calls.append(complex_)
+            return real(complex_)
+
+        monkeypatch.setattr(cm, "reduced_homology", counted)
+        cross_polytope = functools.reduce(join, [empty_graph(2)] * 6)  # 12 vertices
+        verdict = raag_duality_verdict(cross_polytope)
+        assert verdict.is_duality_group
+        assert len(calls) == 6  # the complex, then one link per face dimension

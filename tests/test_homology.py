@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import rational_rank
+from oracles import determinant, rational_rank
 from raagscan.complexes import ComplexError, SimplicialComplex, flag_complex
 from raagscan.graphs import (
     SimpleGraph,
@@ -14,9 +14,11 @@ from raagscan.graphs import (
     path_graph,
 )
 from raagscan.homology import (
+    HomologyError,
+    SmithForm,
+    _verify_smith,
     boundary_matrix,
     concentrated_free_in_degree,
-    determinant,
     euler_characteristic_from_faces,
     euler_characteristic_from_homology,
     matrix_is_zero,
@@ -87,6 +89,13 @@ class TestSmithNormalForm:
                 assert form.diagonal[i + 1] % form.diagonal[i] == 0
             assert abs(determinant(form.transform_left)) == 1
             assert abs(determinant(form.transform_right)) == 1
+
+    def test_certificate_rejects_a_witness_without_integer_inverse(self):
+        # U M V = D holds for the zero matrix, so only the inverse check
+        # can see that U = [2] is not unimodular.
+        form = SmithForm((), 0, [[2]], [[1]])
+        with pytest.raises(HomologyError, match="left Smith witness"):
+            _verify_smith([[0]], form, [[1]], [[1]])
 
     def test_rank_agrees_with_rational_rank(self):
         rng = random.Random(11)

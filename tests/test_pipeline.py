@@ -356,6 +356,12 @@ class TestCli:
         (("scan", "--enumerate", "-1"), "vertex count must be nonnegative, got -1"),
         ((*SEARCH, "--jobs", "0"), "jobs must be at least 1, got 0"),
         ((*SEARCH, "--jobs", "-1"), "jobs must be at least 1, got -1"),
+        ((*SEARCH, "--p", "abc"),
+         "edge probability must be a number or a lo:hi range, got 'abc'"),
+        ((*SEARCH, "--p", "0.2:x"),
+         "edge probability must be a number or a lo:hi range, got '0.2:x'"),
+        ((*SEARCH, "--p", "0.5:0.2"), "edge probability range (0.5, 0.2) has lo > hi"),
+        ((*SEARCH, "--p", "1.5:0.2"), "edge probability range (1.5, 0.2) outside [0, 1]"),
     ])
     def test_scan_rejects_bad_counts(self, args, message, tmp_path):
         out = tmp_path / "rows.jsonl"
